@@ -83,17 +83,10 @@ def cmd_eval(args):
     if np.any(grid <= 0.0):
         raise ValueError("eval needs a strictly positive grid (the Y/K pair "
                          "is undefined at 0)")
-    handles = {k: SolutionHandle(SolutionKind(k), args.lam, params)
-               for k in ("jtype", "ytype", "itype", "ktype")}
-    rows = []
-    for x in grid:
-        rows.append((x,
-                     eval_solution(handles["jtype"], float(x)),
-                     eval_solution(handles["ytype"], float(x)),
-                     eval_solution(handles["itype"], float(x)),
-                     eval_solution(handles["ktype"], float(x))))
+    cols = [eval_solution(SolutionHandle(SolutionKind(k), args.lam, params), grid)
+            for k in ("jtype", "ytype", "itype", "ktype")]
     _emit(args, ("x", "J", "Y", "I", "K"),
-          rows, {"M": args.M, "lambda": args.lam})
+          list(zip(grid, *cols)), {"M": args.M, "lambda": args.lam})
     return 0
 
 

@@ -169,6 +169,13 @@ def ktype_scale_series(a: float, M: float, nterms: int = _SERIES_TERMS) -> LogPo
     return LogPowerSeries(terms)
 
 
+def _jtype_coeffs(lam: float, M: float, nterms: int):
+    """Coefficients of x^0, x^2, ..., x^(2 nterms - 2) in the jtype series."""
+    mq = M * (lam / 2.0) ** 2
+    return [(-1.0) ** k * (lam * lam / 4.0) ** k / math.factorial(k) ** 2
+            * (1.0 + mq * k / (k + 1.0)) for k in range(nterms)]
+
+
 @lru_cache(maxsize=512)
 def _series_cached(kind: SolutionKind, lam: float, M: float, nterms: int):
     params = Params(M)
@@ -176,9 +183,8 @@ def _series_cached(kind: SolutionKind, lam: float, M: float, nterms: int):
     d = 1.0 + mq
     terms = {}
     if kind is SolutionKind.jtype:
-        for k in range(nterms):
-            base = (-1.0) ** k * (lam * lam / 4.0) ** k / math.factorial(k) ** 2
-            terms[(2 * k, 0)] = base * (1.0 + mq * k / (k + 1.0))
+        for k, c in enumerate(_jtype_coeffs(lam, M, nterms)):
+            terms[(2 * k, 0)] = c
     elif kind is SolutionKind.itype:
         c2 = lam * lam + 8.0 / M
         for k in range(nterms):
@@ -329,6 +335,48 @@ def eval_solution(handle: SolutionHandle, x):
         out[~small] = _direct_derivs(handle.kind, handle.lam, handle.params,
                                      arr[~small], 0)[0]
     return float(out[0]) if scalar else out
+
+
+def eval_jtype_outer(lams, xs, params: Params):
+    """J_lam(x) on the outer grid lams[:, None] * xs[None, :].
+
+    Each entry takes the same path as ``eval_solution`` on the handle
+    (jtype, lam): the series below the switch, A*J0(z) + B*J1(z)/z above
+    it.  All direct-path points share one J0 and one J1 call.  The series
+    coefficients come from ``_jtype_coeffs`` directly, not through the
+    ``_series_cached`` memo, which a stream of distinct quadrature lams
+    would only churn.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if np.any(lams < 0.0):
+        raise ValueError("lambda must be a nonnegative real here")
+    if np.any(xs < 0.0):
+        raise ValueError("x must be nonnegative")
+    z = lams[:, None] * xs[None, :]
+    out = np.empty_like(z)
+    small = z < _SERIES_SWITCH
+    if np.any(small):
+        rows, cols = np.nonzero(small)
+        need = np.unique(rows)
+        coef = np.zeros((lams.size, _SERIES_TERMS))
+        for i in need:
+            coef[i] = _jtype_coeffs(float(lams[i]), float(params.M),
+                                    _SERIES_TERMS)
+        xv = xs[cols]
+        # ascending powers, the summation order of LogPowerSeries.evaluate
+        acc = coef[rows, 0].copy()
+        for k in range(1, _SERIES_TERMS):
+            acc += coef[rows, k] * xv ** (2 * k)
+        out[small] = acc
+    big = ~small
+    if np.any(big):
+        rows = np.nonzero(big)[0]
+        mq = params.M * (lams / 2.0) ** 2
+        zb = z[big]
+        out[big] = (1.0 + mq[rows]) * classical.j0(zb) \
+            + (-2.0 * mq[rows]) * (classical.j1(zb) / zb)
+    return out
 
 
 def eval_solution_derivs(handle: SolutionHandle, x, max_order: int = 4):

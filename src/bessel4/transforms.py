@@ -13,6 +13,12 @@ they are evaluated bracket-by-bracket along the oscillation with
 epsilon acceleration; for the decaying test suite the bracket train
 terminates itself once the integrand dies.
 
+Both forward transforms (kernel J0 for the classical pair, J_lam for the
+generalized one) run as matrix-vector products on whole lam arrays: the
+lams are grouped by the panel count of their Gauss grid, and each group
+forms its kernel matrix K(lam_i, x_j) in row chunks of at most 2^16
+entries, so one kernel call covers many lams while memory stays flat.
+
 The truncated orthogonality kernels are evaluated in closed form through
 the Green identity: the boundary term at 0 of two regular solutions
 exactly cancels the M/2 atom, leaving
@@ -23,7 +29,6 @@ an O(1) expression in kernel evaluations at X.  A quadrature route is
 kept for cross-checks.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +37,12 @@ from . import classical
 from .measures import inner_product, spectral_measure
 from .quadrature import adaptive_quad, oscillatory_semi_infinite
 from .solutions import (Params, SolutionHandle, SolutionKind, _deriv_polys,
-                        eval_solution, spectral_value)
+                        eval_jtype_outer, eval_solution, spectral_value)
+
+
+# entries per kernel-matrix chunk; the widest panel grid (x_cut 40 at the
+# moment tail's lam <= 320) is 65536 nodes, one lam per chunk
+_CHUNK_POINTS = 1 << 16
 
 
 @dataclass
@@ -49,24 +59,7 @@ class TransformResult:
 
 def jtype_eval_multi(lams, x, params: Params):
     """J_lam(x) for an array of lam at fixed x >= 0."""
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    z = lams * x
-    mq = params.M * (lams / 2.0) ** 2
-    out = np.empty_like(lams)
-    small = z < 0.1
-    if np.any(small):
-        zz = z[small] ** 2 / 4.0
-        acc = np.zeros_like(zz)
-        for k in range(8, 0, -1):
-            coef = (1.0 + mq[small] * k / (k + 1.0)) / math.factorial(k) ** 2
-            acc = (acc + (-1.0) ** k * coef) * zz
-        out[small] = 1.0 + acc
-    big = ~small
-    if np.any(big):
-        zb = z[big]
-        out[big] = (1.0 + mq[big]) * classical.j0(zb) \
-            - 2.0 * mq[big] * classical.j1(zb) / zb
-    return out
+    return eval_jtype_outer(lams, x, params)[:, 0]
 
 
 def jtype_derivs_multi(lams, x, params: Params, order=3):
@@ -167,6 +160,28 @@ class _PanelCache:
         return self._grids[npanels]
 
 
+def _forward_batch(cache: _PanelCache, lams, kernel, atom=0.0):
+    """atom + integral over [0, x_cut] of x K(lam, x) f(x) dx for each lam.
+
+    The lams are grouped by the panel grid they need; each group is one
+    kernel matrix K(lam_i, x_j) times the weighted profile, formed in row
+    chunks of at most _CHUNK_POINTS entries so memory stays flat.
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    out = np.empty_like(lams)
+    groups = {}
+    for i, lam in enumerate(lams):
+        nodes, wfx = cache.grid(lam)
+        groups.setdefault(nodes.size, (nodes, wfx, []))[2].append(i)
+    for nodes, wfx, idx in groups.values():
+        idx = np.asarray(idx)
+        rows = max(1, _CHUNK_POINTS // nodes.size)
+        for start in range(0, idx.size, rows):
+            sel = idx[start:start + rows]
+            out[sel] = atom + kernel(lams[sel], nodes) @ wfx
+    return out
+
+
 def hankel_roundtrip(f, x_point, char_scale=1.0, tol=1e-6, x_cut=36.0) -> float:
     """The iterated transform evaluated at x_point.
 
@@ -178,13 +193,10 @@ def hankel_roundtrip(f, x_point, char_scale=1.0, tol=1e-6, x_cut=36.0) -> float:
     """
     cache = _PanelCache(f, x_cut)
 
-    def g_of(s):
-        nodes, wfx = cache.grid(s)
-        return float(np.dot(wfx, classical.j0(s * nodes)))
-
     def outer(s_arr):
         s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
-        g = np.array([g_of(s) for s in s_arr])
+        g = _forward_batch(
+            cache, s_arr, lambda s, xs: classical.j0(np.multiply.outer(s, xs)))
         return s_arr * classical.j0(x_point * s_arr) * g
 
     spacing = np.pi / (x_point + char_scale)
@@ -195,17 +207,11 @@ def hankel_roundtrip(f, x_point, char_scale=1.0, tol=1e-6, x_cut=36.0) -> float:
 # ---------------------------------------------------------------------------
 # generalized transform pair
 
-def _forward_on_cache(cache: _PanelCache, lam, params: Params, f0):
-    """(M/2) f(0) + integral over [0, x_cut] of x J_lam x f for one lam."""
-    nodes, wfx = cache.grid(lam)
-    jv = jtype_eval_multi_x(lam, nodes, params)
-    return params.M / 2.0 * f0 + float(np.dot(wfx, jv))
-
-
-def jtype_eval_multi_x(lam, xs, params: Params):
-    """J_lam on an array of x at fixed lam (series below the switch)."""
-    handle = SolutionHandle(SolutionKind.jtype, float(lam), params)
-    return np.atleast_1d(eval_solution(handle, np.asarray(xs, dtype=float)))
+def _generalized_batch(cache: _PanelCache, lams, params: Params, f0):
+    """The generalized forward (M/2) f(0) + integral x J_lam f dx on lams."""
+    return _forward_batch(cache, lams,
+                          lambda l, xs: eval_jtype_outer(l, xs, params),
+                          atom=params.M / 2.0 * f0)
 
 
 def generalized_forward(f, params: Params, lambda_grid, f0=None,
@@ -215,24 +221,22 @@ def generalized_forward(f, params: Params, lambda_grid, f0=None,
     The transform is the truncation limit of integrals over [0, X]; here
     X escalates through 25, 50, 100, 200 until the grid values move less
     than tol, unless a fixed ``x_cut`` is supplied (appropriate when the
-    decay length of f is known).  Within each truncation the integral is
-    a composite Gauss rule with panels sized to the oscillation of J_lam.
+    decay length of f is known).  With a fixed ``x_cut``, ``tol`` is
+    unused and no error estimate is produced.  Within each truncation the
+    integral is a composite Gauss rule with panels sized to the
+    oscillation of J_lam.
     """
     lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
     if f0 is None:
         f0 = float(f(0.0))
     diag = {"f0": f0}
     if x_cut is not None:
-        cache = _PanelCache(f, x_cut)
-        vals = np.array([_forward_on_cache(cache, lam, params, f0)
-                         for lam in lambda_grid])
+        vals = _generalized_batch(_PanelCache(f, x_cut), lambda_grid, params, f0)
         diag["x_cut"] = float(x_cut)
         return TransformResult(grid=lambda_grid, values=vals, diagnostics=diag)
     prev = None
     for X in (25.0, 50.0, 100.0, 200.0):
-        cache = _PanelCache(f, X)
-        vals = np.array([_forward_on_cache(cache, lam, params, f0)
-                         for lam in lambda_grid])
+        vals = _generalized_batch(_PanelCache(f, X), lambda_grid, params, f0)
         if prev is not None:
             deltas = np.abs(vals - prev)
             change = float(np.max(deltas))
@@ -250,24 +254,21 @@ def generalized_forward(f, params: Params, lambda_grid, f0=None,
 class _ForwardEvaluator:
     """Memoized g(lam) for use inside lambda-side quadratures."""
 
-    def __init__(self, f, params, f0=None, tol=1e-8, x_cut=40.0):
+    def __init__(self, f, params, f0=None, x_cut=40.0):
         self.f = f
         self.params = params
         self.f0 = float(f(0.0)) if f0 is None else float(f0)
-        self.tol = tol
         self.cache = {}
         self.panels = _PanelCache(f, x_cut)
 
     def __call__(self, lams):
         lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        out = np.empty_like(lams)
-        for i, lam in enumerate(lams):
-            key = float(lam)
-            if key not in self.cache:
-                self.cache[key] = _forward_on_cache(self.panels, key,
-                                                    self.params, self.f0)
-            out[i] = self.cache[key]
-        return out
+        keys = [float(lam) for lam in lams]
+        misses = list(dict.fromkeys(k for k in keys if k not in self.cache))
+        if misses:
+            vals = _generalized_batch(self.panels, misses, self.params, self.f0)
+            self.cache.update(zip(misses, vals.tolist()))
+        return np.array([self.cache[k] for k in keys], dtype=float)
 
 
 def generalized_inverse(g, params: Params, x_grid, tol=1e-6,
@@ -309,7 +310,7 @@ def generalized_inverse(g, params: Params, x_grid, tol=1e-6,
 def generalized_parseval(f, params: Params, f0=None, tol=1e-6,
                          lam_max=60.0, x_cut=40.0):
     """(integral |g|^2 dn, (M/2)|f(0)|^2 + integral x |f|^2 dx)."""
-    gev = _ForwardEvaluator(f, params, f0=f0, tol=tol * 1e-2, x_cut=x_cut)
+    gev = _ForwardEvaluator(f, params, f0=f0, x_cut=x_cut)
     n_measure = spectral_measure(params.M)
 
     def gsq_density(lam):
@@ -327,7 +328,7 @@ def generalized_parseval(f, params: Params, f0=None, tol=1e-6,
 def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
                            lam_max=80.0, x_cut=40.0):
     """| integral g dn - f(0) |: the transform's origin-recovery identity."""
-    gev = _ForwardEvaluator(f, params, f0=f0, tol=tol * 1e-2, x_cut=x_cut)
+    gev = _ForwardEvaluator(f, params, f0=f0, x_cut=x_cut)
     n_measure = spectral_measure(params.M)
 
     def g_density(lam):
@@ -344,8 +345,7 @@ def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
 def generalized_roundtrip(f, params: Params, x_points, f0=None,
                           tol=1e-6, x_cut=40.0) -> TransformResult:
     """inverse(forward(f)) evaluated at x_points (0 allowed)."""
-    gev = _ForwardEvaluator(f, params, f0=f0, tol=min(tol * 1e-2, 1e-8),
-                            x_cut=x_cut)
+    gev = _ForwardEvaluator(f, params, f0=f0, x_cut=x_cut)
     return generalized_inverse(gev, params, x_points, tol=tol)
 
 

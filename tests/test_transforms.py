@@ -172,6 +172,14 @@ def test_jtype_multi_evaluators_match_handles():
     single = [eval_solution(SolutionHandle(SolutionKind.jtype, l, P1), x)
               for l in lams]
     assert np.allclose(multi, single, rtol=1e-13)
+    # lam * x runs from 0.125 to 2 across the series switch at 1; below
+    # the switch the direct formula loses digits to cancellation
+    P2 = Params(2.0)
+    near = np.array([25.0, 60.0, 150.0, 400.0])
+    multi = tr.jtype_eval_multi(near, 0.005, P2)
+    single = [eval_solution(SolutionHandle(SolutionKind.jtype, l, P2), 0.005)
+              for l in near]
+    assert np.allclose(multi, single, rtol=1e-13, atol=0.0)
     dm = tr.jtype_derivs_multi(lams, x, P1, order=3)
     for i, l in enumerate(lams):
         ds = eval_solution_derivs(SolutionHandle(SolutionKind.jtype, l, P1),
@@ -183,3 +191,36 @@ def test_generalized_inverse_of_zero_is_zero():
     zero = lambda lam: np.zeros_like(np.asarray(lam, dtype=float))
     r = tr.generalized_inverse(zero, P1, [0.0, 0.5, 2.0])
     assert np.all(r.values == 0.0)
+
+
+# unsorted, with duplicates; at x_cut 40 the lams fall in the 512, 1024,
+# 2048 and 4096-node grids, the first holding more lams than one chunk,
+# and the smallest ones put every node on the series path
+_BATCH_LAMS = np.concatenate([
+    np.linspace(3.9, 0.0, 150), [1e-3, 0.02, 0.02, 5.5, 7.9, 5.5, 12.0, 30.0,
+                                 16.5, 0.7, 30.0, 1e-3]])
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 2.0])
+def test_batched_forward_closed_forms(M):
+    lam = _BATCH_LAMS
+    gauss = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    expx = lambda x: np.exp(-np.asarray(x, dtype=float))
+    sizes = [tr._PanelCache(gauss, 40.0).grid(l)[0].size for l in lam]
+    assert len(set(sizes)) >= 4
+    assert sizes.count(min(sizes)) > tr._CHUNK_POINTS // min(sizes)
+    q = M * lam ** 2 / 4.0
+    expect_gauss = np.exp(-lam ** 2 / 4.0) * ((1.0 + q) / 2.0 + M / 2.0)
+    expect_expx = (1.0 + q) * (1.0 + lam ** 2) ** -1.5 \
+        + M / 2.0 * (1.0 + lam ** 2) ** -0.5
+    for f, expect in ((gauss, expect_gauss), (expx, expect_expx)):
+        r = tr.generalized_forward(f, Params(M), lam, x_cut=40.0)
+        assert np.max(np.abs(r.values - expect)) < 1e-12
+
+
+def test_forward_evaluator_batch_equals_elementwise():
+    expx = lambda x: np.exp(-np.asarray(x, dtype=float))
+    batch = tr._ForwardEvaluator(expx, P1)(_BATCH_LAMS)
+    single = tr._ForwardEvaluator(expx, P1)
+    one_by_one = np.array([single(l)[0] for l in _BATCH_LAMS])
+    assert np.max(np.abs(batch - one_by_one)) <= 1e-15
