@@ -54,12 +54,6 @@ def dd_add(x, y):
     return quick_two_sum(s, e)
 
 
-def dd_add_float(x, f):
-    s, e = two_sum(x[0], f)
-    e = e + x[1]
-    return quick_two_sum(s, e)
-
-
 def dd_neg(x):
     return -x[0], -x[1]
 

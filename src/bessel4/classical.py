@@ -15,7 +15,8 @@ values:
   large-argument expansion beyond, overflow signalled past x = 705.
 * K family: logarithmic series up to x = 2, trapezoid rule on
   K_n(x) = integral of exp(-x cosh t) cosh(nt) over t >= 0 for
-  2 < x < 20 (error ~exp(-pi^2/h) with h = 0.25), expansion beyond.
+  2 < x < 20 (error ~exp(-pi^2/h) with h = pi^2/66, one 28-node rule
+  for the whole band), expansion beyond.
 
 Everything is vectorized over numpy arrays; scalars in give floats out.
 All functions are pure and safe for concurrent use.
@@ -268,10 +269,12 @@ def _k_cosh_rule(x, order):
     The integrand extends evenly to the real line and is analytic in a
     strip of width ~pi/2, so the trapezoid rule converges like
     exp(-pi^2/h) in absolute terms; measured against the e^(-x) scale of
-    K itself that costs a factor e^x, hence the x-dependent step below.
+    K itself that costs a factor e^x.  Step and cutoff are sized for the
+    ends of the band (h from x = 20, the cutoff from x = 2), so every x
+    gets the same 28 nodes whatever array it arrives in.
     """
-    h = np.pi * np.pi / (46.0 + float(np.max(x)))
-    tmax = np.arccosh(1.0 + 48.0 / float(np.min(x)))
+    h = np.pi * np.pi / (46.0 + _K_ASYM_MIN)
+    tmax = np.arccosh(1.0 + 48.0 / _K_SERIES_MAX)
     n = int(np.ceil(tmax / h)) + 1
     t = h * np.arange(n)
     g = np.exp(-np.outer(x, np.cosh(t)))
@@ -465,7 +468,7 @@ def eval_bessel_derivative(kind: BesselKind, x):
         zero = arr == 0.0
         out = np.empty_like(arr)
         if np.any(zero):
-            out[zero] = 0.5 if fam == "I" else 0.5
+            out[zero] = 0.5
         pos = ~zero
         if np.any(pos):
             v = arr[pos]

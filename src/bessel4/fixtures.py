@@ -12,27 +12,18 @@ truncation length used by the transform quadratures.  Lines starting
 with '#' are comments.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
+from .transforms import smooth_bump
+
 _DECAY_CUT = {"super": 9.0, "exp": 40.0, "compact": 2.5}
-
-
-def _bump(t):
-    t = np.asarray(t, dtype=float)
-    inside = np.abs(t) < 1.0
-    out = np.zeros_like(t)
-    with np.errstate(divide="ignore", over="ignore"):
-        body = np.exp(1.0 - 1.0 / np.where(inside, 1.0 - t * t, 1.0))
-    out[inside] = body[inside]
-    return out
-
 
 _NAMESPACE = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
-    "cos": np.cos, "where": np.where, "bump": _bump, "pi": np.pi,
+    "cos": np.cos, "where": np.where, "bump": smooth_bump, "pi": np.pi,
 }
 
 
@@ -42,11 +33,12 @@ class Fixture:
     expression: str
     decay_class: str
     x_cut: float
+    code: object = field(repr=False, compare=False)
 
     def __call__(self, x):
         env = dict(_NAMESPACE)
         env["x"] = np.asarray(x, dtype=float)
-        return eval(self.expression, {"__builtins__": {}}, env)  # noqa: S307
+        return eval(self.code, {"__builtins__": {}}, env)  # noqa: S307
 
 
 def parse_suite(text):
@@ -61,7 +53,8 @@ def parse_suite(text):
         name, expression, decay = parts
         if decay not in _DECAY_CUT:
             raise ValueError(f"unknown decay class {decay!r} in {line!r}")
-        fx = Fixture(name, expression, decay, _DECAY_CUT[decay])
+        fx = Fixture(name, expression, decay, _DECAY_CUT[decay],
+                     compile(expression, f"<fixture {name}>", "eval"))
         fx(np.array([0.0, 1.0]))  # validate the expression early
         out.append(fx)
     return out

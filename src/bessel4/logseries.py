@@ -112,12 +112,6 @@ class LogPowerSeries:
             out += term
         return float(out[0]) if scalar else out
 
-    def min_power(self):
-        return min(p for (p, _) in self.terms) if self.terms else 0
-
-    def max_logdeg(self):
-        return max(d for (_, d) in self.terms) if self.terms else 0
-
     def coeff(self, power, logdeg=0):
         return self.terms.get((power, logdeg), 0.0)
 
@@ -135,9 +129,6 @@ class DiffOp:
 
     def __init__(self, ops):
         self.ops = [(int(m), int(j), c) for (m, j, c) in ops]
-
-    def offsets(self):
-        return sorted({m - j for (m, j, _) in self.ops})
 
     def apply(self, series: LogPowerSeries) -> LogPowerSeries:
         out = {}

@@ -8,16 +8,18 @@ lam (1 + M (lam/2)^2)^(-2):
     inverse:  f(x)   = integral J_lam(x) g(lam) dn(lam),  f(0) = integral g dn
 
 with J_lam the regular fourth-order solution normalized to 1 at the
-origin.  The x-side integrals are conditionally convergent at best, so
-they are evaluated bracket-by-bracket along the oscillation with
-epsilon acceleration; for the decaying test suite the bracket train
-terminates itself once the integrand dies.
+origin.  The classical order-zero pair is the member with kernel
+J0(lam x), weight x on both sides and no atom, so one engine runs both
+pairs, each given by its kernel and the measures of its two sides.
 
-Both forward transforms (kernel J0 for the classical pair, J_lam for the
-generalized one) run as matrix-vector products on whole lam arrays: the
-lams are grouped by the panel count of their Gauss grid, and each group
-forms its kernel matrix K(lam_i, x_j) in row chunks of at most 2^16
-entries, so one kernel call covers many lams while memory stays flat.
+The forward integral over [0, X] (X escalating through 25, 50, 100, 200,
+or fixed) is a matrix-vector product on whole lam arrays: lams are
+grouped by the panel count of their Gauss grid, and each group forms its
+kernel matrix K(lam_i, x_j) in row chunks of at most 2^16 entries.  The
+inverse is an adaptive head on lam in [0, 8] plus brackets of spacing
+pi/x summed with epsilon acceleration; at x = 0 it is the lam-measure
+integral of g.  When g oscillates on its own (f ends sharply at some E),
+the brackets follow the beat x + E, at x = 0 too.
 
 The truncated orthogonality kernels are evaluated in closed form through
 the Green identity: the boundary term at 0 of two regular solutions
@@ -30,14 +32,17 @@ kept for cross-checks.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import classical
-from .measures import inner_product, spectral_measure
+from .measures import (AtomDensityMeasure, inner_product, lebesgue_x,
+                       spectral_measure)
 from .quadrature import adaptive_quad, oscillatory_semi_infinite
-from .solutions import (Params, SolutionHandle, SolutionKind, _deriv_polys,
-                        eval_jtype_outer, eval_solution, spectral_value)
+from .solutions import (Params, SolutionHandle, SolutionKind,
+                        _direct_derivs_scaled, eval_jtype_outer, eval_solution,
+                        spectral_value)
 
 
 # entries per kernel-matrix chunk; the widest panel grid (x_cut 40 at the
@@ -49,17 +54,7 @@ _CHUNK_POINTS = 1 << 16
 class TransformResult:
     grid: np.ndarray
     values: np.ndarray
-    parseval_lhs: float = None
-    parseval_rhs: float = None
     diagnostics: dict = field(default_factory=dict)
-
-
-# ---------------------------------------------------------------------------
-# vectorized-in-lambda evaluation of the regular solution
-
-def jtype_eval_multi(lams, x, params: Params):
-    """J_lam(x) for an array of lam at fixed x >= 0."""
-    return eval_jtype_outer(lams, x, params)[:, 0]
 
 
 def jtype_derivs_multi(lams, x, params: Params, order=3):
@@ -69,74 +64,60 @@ def jtype_derivs_multi(lams, x, params: Params, order=3):
     the delta-family kernels only call it with large X.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    z = lams * x
-    if np.any(z < 0.5):
+    if np.any(lams * x < 0.5):
         raise ValueError("jtype_derivs_multi needs lam*x >= 0.5")
     mq = params.M * (lams / 2.0) ** 2
-    A = 1.0 + mq
-    B = -2.0 * mq
-    u = classical.j0(z)
-    v = classical.j1(z) / z
-    (pu, qu), (pv, qv) = _deriv_polys(SolutionKind.jtype, order)
-
-    def lau(poly, zz):
-        acc = np.zeros_like(zz)
-        for e, c in poly:
-            acc = acc + c * zz ** e
-        return acc
-
-    rows = []
-    for n in range(order + 1):
-        pn = A * lau(pu[n], z) + B * lau(pv[n], z)
-        qn = A * lau(qu[n], z) + B * lau(qv[n], z)
-        rows.append(lams ** n * (pn * u + qn * v))
-    return np.vstack(rows)
+    return _direct_derivs_scaled(SolutionKind.jtype, lams, 1.0 + mq, -2.0 * mq,
+                                 x, order)
 
 
 # ---------------------------------------------------------------------------
-# classical Hankel transform (order zero)
+# the pair engine
 
-def hankel_forward(f, s_grid, tol=1e-8) -> TransformResult:
-    """g(s) = integral xi J0(s xi) f(xi) d xi on the grid (f decaying)."""
-    s_grid = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    vals = np.empty_like(s_grid)
-    diag = []
-    for i, s in enumerate(s_grid):
-        spacing = np.pi / max(s, 0.05)
+@dataclass(frozen=True)
+class _Pair:
+    """A Hankel-type pair: kernel(lams, xs) on the outer grid, equal to 1
+    at x = 0; the x side is weight x plus an atom x_atom at the origin,
+    the lam side is lam_measure.  lam_cap bounds the lam at which the
+    inverse at x = 0 reads g (see ``_measure_integral``)."""
 
-        def integrand(xi):
-            xi = np.asarray(xi, dtype=float)
-            return xi * classical.j0(s * xi) * np.asarray(f(xi), dtype=float)
-
-        r = oscillatory_semi_infinite(integrand, spacing, tol=tol)
-        vals[i] = r.value
-        diag.append({"s": float(s), "error": r.error, "converged": r.converged,
-                     "brackets": r.brackets})
-    return TransformResult(grid=s_grid, values=vals, diagnostics={"points": diag})
+    kernel: Callable
+    x_atom: float
+    lam_measure: AtomDensityMeasure
+    lam_cap: float = np.inf
 
 
-def hankel_parseval(f, s_max=60.0, tol=1e-7):
-    """(integral x f^2 dx, integral s g^2 ds) for the classical transform."""
-    lhs = adaptive_quad(lambda x: np.asarray(x) * np.asarray(f(x)) ** 2,
-                        0.0, 60.0, tol=tol).value
+def _j0_outer(lams, xs):
+    return classical.j0(np.multiply.outer(np.atleast_1d(lams), np.atleast_1d(xs)))
 
-    def g_sq(s_arr):
-        s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
-        g = hankel_forward(f, s_arr, tol=tol).values
-        return s_arr * g * g
 
-    rhs = adaptive_quad(g_sq, 0.0, s_max, tol=100 * tol, max_panels=200).value
-    return lhs, rhs
+# the classical order-zero pair: kernel J0(lam x), weight x on both sides
+_CLASSICAL = _Pair(_j0_outer, 0.0, lebesgue_x(), lam_cap=1000.0)
+
+
+def _generalized_pair(params: Params) -> _Pair:
+    """Kernel J_lam(x), the jump space's atom M/2 and the spectral measure."""
+    return _Pair(lambda lams, xs: eval_jtype_outer(lams, xs, params),
+                 params.M / 2.0, spectral_measure(params.M))
+
+
+def _origin(pair: _Pair, f, f0):
+    """(f(0), the x side's atom times f(0)); f is read at 0 only under
+    an atom, so the classical pair takes profiles singular there."""
+    if not pair.x_atom:
+        return f0, 0.0
+    f0 = float(f(0.0)) if f0 is None else float(f0)
+    return f0, pair.x_atom * f0
 
 
 class _PanelCache:
     """Composite Gauss-Legendre nodes on [0, x_cut], panel count a power
-    of two sized to the oscillation frequency, with f pre-evaluated."""
+    of two sized to the oscillation frequency, with the profile weighted
+    by x (the x-side density of every pair) pre-evaluated."""
 
-    def __init__(self, f, x_cut, weight_x=True):
+    def __init__(self, f, x_cut):
         self.f = f
         self.x_cut = float(x_cut)
-        self.weight_x = weight_x
         self._grids = {}
 
     def grid(self, freq):
@@ -153,10 +134,8 @@ class _PanelCache:
             half = 0.5 * (edges[1] - edges[0])
             nodes = (mid[:, None] + half * xg[None, :]).ravel()
             wts = np.tile(half * wg, npanels)
-            fv = np.asarray(self.f(nodes), dtype=float)
-            if self.weight_x:
-                fv = fv * nodes
-            self._grids[npanels] = (nodes, wts * fv)
+            fx = np.asarray(self.f(nodes), dtype=float) * nodes
+            self._grids[npanels] = (nodes, wts * fx)
         return self._grids[npanels]
 
 
@@ -182,37 +161,180 @@ def _forward_batch(cache: _PanelCache, lams, kernel, atom=0.0):
     return out
 
 
-def hankel_roundtrip(f, x_point, char_scale=1.0, tol=1e-6, x_cut=36.0) -> float:
-    """The iterated transform evaluated at x_point.
+def _forward(pair: _Pair, f, lams, f0, tol, x_cut) -> TransformResult:
+    """The forward transform of f on lams (see ``generalized_forward``)."""
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    f0, atom = _origin(pair, f, f0)
+    diag = {"f0": f0}
+
+    def truncated(X):
+        return _forward_batch(_PanelCache(f, X), lams, pair.kernel, atom)
+
+    if x_cut is not None:
+        diag["x_cut"] = float(x_cut)
+        return TransformResult(grid=lams, values=truncated(x_cut), diagnostics=diag)
+    prev = None
+    for X in (25.0, 50.0, 100.0, 200.0):
+        vals = truncated(X)
+        if prev is not None:
+            deltas = np.abs(vals - prev)
+            change = float(np.max(deltas))
+            if change < tol:
+                diag.update({"x_cut": X, "change": change, "converged": True,
+                             "points": [{"lam": float(l), "error": float(d)}
+                                        for l, d in zip(lams, deltas)]})
+                return TransformResult(grid=lams, values=vals, diagnostics=diag)
+        prev = vals
+    diag.update({"x_cut": X, "converged": False})
+    return TransformResult(grid=lams, values=prev, diagnostics=diag)
+
+
+class _ForwardEvaluator:
+    """Memoized g(lam) of one pair for use inside lambda-side quadratures."""
+
+    def __init__(self, f, pair: _Pair, f0=None, x_cut=40.0):
+        self.pair = pair
+        self.f0, self.atom = _origin(pair, f, f0)
+        self.cache = {}
+        self.panels = _PanelCache(f, x_cut)
+
+    def __call__(self, lams):
+        lams = np.atleast_1d(np.asarray(lams, dtype=float))
+        keys = [float(lam) for lam in lams]
+        misses = list(dict.fromkeys(k for k in keys if k not in self.cache))
+        if misses:
+            vals = _forward_batch(self.panels, misses, self.pair.kernel, self.atom)
+            self.cache.update(zip(misses, vals.tolist()))
+        return np.array([self.cache[k] for k in keys], dtype=float)
+
+
+def _ring(panels: _PanelCache, tol):
+    """The frequency at which the forward g oscillates on its own.
+
+    That is the end E of the support of f in [0, x_cut] (Paley-Wiener):
+    the first node of the coarsest panel grid past the last nonzero value
+    of f, or x_cut.  It counts only if f ends there sharply, with x |f|
+    above tol within one panel below E; 0 otherwise (f has decayed).
+    """
+    nodes, _ = panels.grid(0.0)
+    xf = np.abs(nodes * np.asarray(panels.f(nodes), dtype=float))
+    live = np.flatnonzero(xf)
+    if live.size == 0:
+        return 0.0
+    end = nodes[live[-1] + 1] if live[-1] + 1 < nodes.size else panels.x_cut
+    width = 8.0 * panels.x_cut / nodes.size
+    return float(end) if xf[nodes > end - width].max() > tol else 0.0
+
+
+def _measure_integral(pair: _Pair, g, tol):
+    """The integral of g over the lam measure: the inverse at x = 0.
+
+    The classical density lam grows, so inner_product's u = 1/lam tail
+    map would scale the forward's rounding by lam^3 and read g at ever
+    larger lam; there g is read up to lam_cap and continued beyond it
+    like lam^-3, the decay of the transform of every smooth profile.
+    """
+    cap = pair.lam_cap
+    if cap < np.inf:
+        g_in, g_cap = g, float(g([cap])[0])
+        g = lambda lam: np.where(lam < cap, g_in(np.minimum(lam, cap)),
+                                 g_cap * (cap / np.maximum(lam, cap)) ** 3)
+    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
+    return inner_product(g, one, pair.lam_measure, tol=tol)
+
+
+def _inverse(pair: _Pair, g, x_grid, tol, lam_tail_start=8.0,
+             ring=0.0) -> TransformResult:
+    """The inverse transform of g on x_grid (see ``generalized_inverse``).
+
+    ``ring`` is the frequency at which g oscillates on its own (see
+    ``_ring``); the brackets then resolve the fastest beat x + ring, and
+    x = 0 runs on brackets too, since the measure integral's tail closure
+    fails on an oscillating g.
+    """
+    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    density = pair.lam_measure.density
+    vals = np.empty_like(x_grid)
+    diag = []
+    for i, x in enumerate(x_grid):
+        if x == 0.0 and not ring:
+            vals[i] = _measure_integral(pair, g, tol * 1e-2)
+            diag.append({"x": 0.0, "mode": "measure-integral"})
+            continue
+
+        def integrand(lam):
+            lam = np.asarray(lam, dtype=float)
+            return pair.kernel(lam, float(x))[:, 0] \
+                * np.asarray(g(lam), dtype=float) * density(lam)
+
+        head = adaptive_quad(integrand, 0.0, lam_tail_start, tol=tol * 1e-2)
+        r = oscillatory_semi_infinite(
+            lambda lam: integrand(lam + lam_tail_start),
+            np.pi / (x + ring), tol=tol, head_tol=tol * 1e-2)
+        vals[i] = head.value + r.value
+        diag.append({"x": float(x), "head_err": head.error, "tail_err": r.error,
+                     "converged": head.converged and r.converged,
+                     "brackets": r.brackets})
+    return TransformResult(grid=x_grid, values=vals, diagnostics={"points": diag})
+
+
+def _parseval(pair: _Pair, f, f0, tol, lam_max, x_cut):
+    """(integral of |g|^2 over the lam measure up to lam_max, the x-side
+    atom times f(0)^2 plus integral x |f|^2 dx up to x = 60)."""
+    gev = _ForwardEvaluator(f, pair, f0=f0, x_cut=x_cut)
+    density = pair.lam_measure.density
+
+    def gsq_density(lam):
+        lam = np.asarray(lam, dtype=float)
+        gv = gev(lam)
+        return gv * gv * density(lam)
+
+    lam_side = adaptive_quad(gsq_density, 0.0, lam_max, tol=tol,
+                             max_panels=400).value
+    x_side = adaptive_quad(lambda x: np.asarray(x) * np.asarray(f(x)) ** 2,
+                           0.0, 60.0, tol=tol * 1e-2).value
+    if pair.x_atom:
+        x_side = pair.x_atom * gev.f0 ** 2 + x_side
+    return lam_side, x_side
+
+
+# ---------------------------------------------------------------------------
+# classical Hankel transform (order zero)
+
+def hankel_forward(f, s_grid, tol=1e-8) -> TransformResult:
+    """g(s) = integral xi J0(s xi) f(xi) d xi on the grid, truncated as in
+    ``generalized_forward`` without ``x_cut``.
+
+    f must have decayed by x = 200: beyond that the tail is dropped, the
+    values are those of the X = 200 truncation, and tol is not met
+    (``diagnostics["converged"]`` is False).
+    """
+    return _forward(_CLASSICAL, f, s_grid, None, tol, None)
+
+
+def hankel_parseval(f, s_max=60.0, tol=1e-7):
+    """(integral x f^2 dx, integral s g^2 ds) for the classical transform,
+    with g computed from f truncated at x = 40."""
+    s_side, x_side = _parseval(_CLASSICAL, f, None, tol, s_max, x_cut=40.0)
+    return x_side, s_side
+
+
+def hankel_roundtrip(f, x_point, *, tol=1e-6, x_cut=36.0) -> float:
+    """The iterated transform evaluated at x_point (0 allowed).
 
     Equals the mean of the one-sided limits of f at points of bounded
-    variation.  The inner transform is a fixed Gauss grid over the decay
-    length of f with frequency-sized panels; the outer integral is
-    accelerated with brackets sized to the fastest beat frequency
-    x_point + char_scale.
+    variation.  The inner transform is a fixed Gauss grid over [0, x_cut]
+    with frequency-sized panels; the outer integral is the shared inverse.
+    The inverse's brackets follow the oscillation of g itself (see
+    ``_ring``).
     """
-    cache = _PanelCache(f, x_cut)
-
-    def outer(s_arr):
-        s_arr = np.atleast_1d(np.asarray(s_arr, dtype=float))
-        g = _forward_batch(
-            cache, s_arr, lambda s, xs: classical.j0(np.multiply.outer(s, xs)))
-        return s_arr * classical.j0(x_point * s_arr) * g
-
-    spacing = np.pi / (x_point + char_scale)
-    r = oscillatory_semi_infinite(outer, spacing, tol=tol, max_brackets=220)
-    return r.value
+    gev = _ForwardEvaluator(f, _CLASSICAL, x_cut=x_cut)
+    ring = _ring(gev.panels, tol)
+    return float(_inverse(_CLASSICAL, gev, x_point, tol, ring=ring).values[0])
 
 
 # ---------------------------------------------------------------------------
 # generalized transform pair
-
-def _generalized_batch(cache: _PanelCache, lams, params: Params, f0):
-    """The generalized forward (M/2) f(0) + integral x J_lam f dx on lams."""
-    return _forward_batch(cache, lams,
-                          lambda l, xs: eval_jtype_outer(l, xs, params),
-                          atom=params.M / 2.0 * f0)
-
 
 def generalized_forward(f, params: Params, lambda_grid, f0=None,
                         tol=1e-8, x_cut=None) -> TransformResult:
@@ -226,49 +348,7 @@ def generalized_forward(f, params: Params, lambda_grid, f0=None,
     integral is a composite Gauss rule with panels sized to the
     oscillation of J_lam.
     """
-    lambda_grid = np.atleast_1d(np.asarray(lambda_grid, dtype=float))
-    if f0 is None:
-        f0 = float(f(0.0))
-    diag = {"f0": f0}
-    if x_cut is not None:
-        vals = _generalized_batch(_PanelCache(f, x_cut), lambda_grid, params, f0)
-        diag["x_cut"] = float(x_cut)
-        return TransformResult(grid=lambda_grid, values=vals, diagnostics=diag)
-    prev = None
-    for X in (25.0, 50.0, 100.0, 200.0):
-        vals = _generalized_batch(_PanelCache(f, X), lambda_grid, params, f0)
-        if prev is not None:
-            deltas = np.abs(vals - prev)
-            change = float(np.max(deltas))
-            if change < tol:
-                diag.update({"x_cut": X, "change": change, "converged": True,
-                             "points": [{"lam": float(l), "error": float(d)}
-                                        for l, d in zip(lambda_grid, deltas)]})
-                return TransformResult(grid=lambda_grid, values=vals,
-                                       diagnostics=diag)
-        prev = vals
-    diag.update({"x_cut": 200.0, "converged": False})
-    return TransformResult(grid=lambda_grid, values=prev, diagnostics=diag)
-
-
-class _ForwardEvaluator:
-    """Memoized g(lam) for use inside lambda-side quadratures."""
-
-    def __init__(self, f, params, f0=None, x_cut=40.0):
-        self.f = f
-        self.params = params
-        self.f0 = float(f(0.0)) if f0 is None else float(f0)
-        self.cache = {}
-        self.panels = _PanelCache(f, x_cut)
-
-    def __call__(self, lams):
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        keys = [float(lam) for lam in lams]
-        misses = list(dict.fromkeys(k for k in keys if k not in self.cache))
-        if misses:
-            vals = _generalized_batch(self.panels, misses, self.params, self.f0)
-            self.cache.update(zip(misses, vals.tolist()))
-        return np.array([self.cache[k] for k in keys], dtype=float)
+    return _forward(_generalized_pair(params), f, lambda_grid, f0, tol, x_cut)
 
 
 def generalized_inverse(g, params: Params, x_grid, tol=1e-6,
@@ -280,60 +360,24 @@ def generalized_inverse(g, params: Params, x_grid, tol=1e-6,
     envelope, integrated with the oscillatory accelerator after an
     adaptive head.
     """
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    n_measure = spectral_measure(params.M)
-    vals = np.empty_like(x_grid)
-    diag = []
-    for i, x in enumerate(x_grid):
-        if x == 0.0:
-            one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-            vals[i] = inner_product(g, one, n_measure, tol=tol * 1e-2)
-            diag.append({"x": 0.0, "mode": "measure-integral"})
-            continue
-
-        def integrand(lam):
-            lam = np.asarray(lam, dtype=float)
-            return jtype_eval_multi(lam, float(x), params) \
-                * np.asarray(g(lam), dtype=float) * n_measure.density(lam)
-
-        head = adaptive_quad(integrand, 0.0, lam_tail_start, tol=tol * 1e-2)
-        r = oscillatory_semi_infinite(
-            lambda lam: integrand(lam + lam_tail_start),
-            np.pi / x, tol=tol, head_tol=tol * 1e-2)
-        vals[i] = head.value + r.value
-        diag.append({"x": float(x), "head_err": head.error, "tail_err": r.error,
-                     "converged": head.converged and r.converged,
-                     "brackets": r.brackets})
-    return TransformResult(grid=x_grid, values=vals, diagnostics={"points": diag})
+    return _inverse(_generalized_pair(params), g, x_grid, tol, lam_tail_start)
 
 
 def generalized_parseval(f, params: Params, f0=None, tol=1e-6,
                          lam_max=60.0, x_cut=40.0):
     """(integral |g|^2 dn, (M/2)|f(0)|^2 + integral x |f|^2 dx)."""
-    gev = _ForwardEvaluator(f, params, f0=f0, x_cut=x_cut)
-    n_measure = spectral_measure(params.M)
-
-    def gsq_density(lam):
-        lam = np.asarray(lam, dtype=float)
-        gv = gev(lam)
-        return gv * gv * n_measure.density(lam)
-
-    lhs = adaptive_quad(gsq_density, 0.0, lam_max, tol=tol, max_panels=400).value
-    rhs_int = adaptive_quad(lambda x: np.asarray(x) * np.asarray(f(x)) ** 2,
-                            0.0, 60.0, tol=tol * 1e-2).value
-    rhs = params.M / 2.0 * gev.f0 ** 2 + rhs_int
-    return lhs, rhs
+    return _parseval(_generalized_pair(params), f, f0, tol, lam_max, x_cut)
 
 
 def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
                            lam_max=80.0, x_cut=40.0):
     """| integral g dn - f(0) |: the transform's origin-recovery identity."""
-    gev = _ForwardEvaluator(f, params, f0=f0, x_cut=x_cut)
-    n_measure = spectral_measure(params.M)
+    gev = _ForwardEvaluator(f, _generalized_pair(params), f0=f0, x_cut=x_cut)
+    density = gev.pair.lam_measure.density
 
     def g_density(lam):
         lam = np.asarray(lam, dtype=float)
-        return gev(lam) * n_measure.density(lam)
+        return gev(lam) * density(lam)
 
     total = adaptive_quad(g_density, 0.0, lam_max, tol=tol, max_panels=400).value
     # the integrand falls off like lam^-4; close with the analytic-shape tail
@@ -345,7 +389,7 @@ def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
 def generalized_roundtrip(f, params: Params, x_points, f0=None,
                           tol=1e-6, x_cut=40.0) -> TransformResult:
     """inverse(forward(f)) evaluated at x_points (0 allowed)."""
-    gev = _ForwardEvaluator(f, params, f0=f0, x_cut=x_cut)
+    gev = _ForwardEvaluator(f, _generalized_pair(params), f0=f0, x_cut=x_cut)
     return generalized_inverse(gev, params, x_points, tol=tol)
 
 
@@ -366,11 +410,10 @@ def vanishing_moment(eta: float, params: Params, tol=1e-7) -> float:
 
     def integrand(lam):
         lam = np.asarray(lam, dtype=float)
-        return jtype_eval_multi(lam, eta, params) * n_measure.density(lam)
+        return eval_jtype_outer(lam, eta, params)[:, 0] * n_measure.density(lam)
 
-    head = adaptive_quad(integrand, 0.0, 6.0 / eta if eta < 3 else 4.0,
-                         tol=tol * 0.1)
     start = 6.0 / eta if eta < 3 else 4.0
+    head = adaptive_quad(integrand, 0.0, start, tol=tol * 0.1)
     r = oscillatory_semi_infinite(lambda lam: integrand(lam + start),
                                   np.pi / eta, tol=tol)
     return head.value + r.value
@@ -392,10 +435,6 @@ def ortho_kernel_classical(lmb, mu, X, method="closed"):
     return float(out[0]) if np.ndim(lmb) == 0 and np.ndim(mu) == 0 else out
 
 
-def _weight(lam, M):
-    return lam / (1.0 + M * (lam / 2.0) ** 2) ** 2
-
-
 def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
     """weight(lam) * { integral_0^X x J_lam J_mu dx + (M/2) J_lam(0) J_mu(0) }.
 
@@ -404,6 +443,7 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
     0-term is exactly -(M/2)(L(lam)-L(mu)), cancelling the atom.
     """
     M = params.M
+    weight = spectral_measure(M).density(lmb)
     if method == "quad":
         hl = SolutionHandle(SolutionKind.jtype, float(lmb), params)
         hm = SolutionHandle(SolutionKind.jtype, float(mu), params)
@@ -411,7 +451,7 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
             lambda x: np.asarray(x) * eval_solution(hl, np.asarray(x))
             * eval_solution(hm, np.asarray(x)), 0.0, X, tol=1e-10,
             max_panels=20000).value
-        return _weight(lmb, M) * (val + M / 2.0)
+        return weight * (val + M / 2.0)
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     dl = jtype_derivs_multi(np.full_like(mu_arr, lmb), X, params, order=3)
     dm = jtype_derivs_multi(mu_arr, X, params, order=3)
@@ -421,7 +461,7 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
            - w * (dm[0] * dl[1] - dm[1] * dl[0]))
     dL = spectral_value(lmb, params) - np.array(
         [spectral_value(m, params) for m in mu_arr])
-    out = _weight(lmb, M) * sym / dL
+    out = weight * sym / dL
     return float(out[0]) if np.ndim(mu) == 0 else out
 
 

@@ -126,6 +126,13 @@ def test_vectorization_and_scalars():
     out = cb.j0(xs)
     assert out.shape == xs.shape
     assert isinstance(cb.j0(1.0), float)
+    # a value does not depend on the array it arrives in, across the
+    # J/Y, I and K middle bands
+    band = np.linspace(2.05, 19.9, 400)
+    for name in ("j0", "j1", "y0", "y1", "i0", "i1", "k0", "k1"):
+        fn = getattr(cb, name)
+        assert np.array_equal(fn(band), [fn(float(x)) for x in band]), name
+    assert np.isnan(cb.k0(np.nan)) and np.isnan(cb.k1(np.nan))
 
 
 def test_derivative_limits_at_zero():

@@ -19,6 +19,11 @@ def test_hankel_forward_exponential_closed_form():
     # own derivation: integral x J0(sx) e^-x dx = (1 + s^2)^(-3/2)
     expect = (1.0 + r.grid ** 2) ** (-1.5)
     assert np.max(np.abs(r.values - expect)) < 1e-6
+    # integral x J0(sx) e^(-x^2) dx = e^(-s^2/4) / 2
+    gauss = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    r = tr.hankel_forward(gauss, _BATCH_LAMS)
+    assert r.diagnostics["converged"]
+    assert np.max(np.abs(r.values - np.exp(-_BATCH_LAMS ** 2 / 4.0) / 2.0)) < 1e-12
 
 
 def test_hankel_forward_zero_function():
@@ -41,6 +46,28 @@ def test_hankel_roundtrip_indicator():
     ind = lambda x: np.where(np.asarray(x, dtype=float) <= 1.0, 1.0, 0.0)
     assert tr.hankel_roundtrip(ind, 0.5, x_cut=1.0) == pytest.approx(1.0, abs=1e-3)
     assert tr.hankel_roundtrip(ind, 1.0, x_cut=1.0) == pytest.approx(0.5, abs=1e-2)
+
+
+def test_hankel_roundtrip_at_and_near_origin():
+    # x = 0 reads g by the capped measure integral (smooth profiles) or,
+    # when g oscillates at the end of the support of f, by brackets
+    assert tr.hankel_roundtrip(expfn, 0.0) == pytest.approx(1.0, abs=1e-6)
+    ind = lambda x: np.where(np.asarray(x, dtype=float) <= 1.0, 1.0, 0.0)
+    for x in (0.0, 0.05, 0.1):
+        assert tr.hankel_roundtrip(ind, x, x_cut=1.0) == pytest.approx(1.0, abs=1e-6)
+    # support [0, 2] inside the default cut; the forward limits it to ~7e-6
+    bump = lambda x: tr.smooth_bump(np.asarray(x, dtype=float) / 2.0)
+    assert tr.hankel_roundtrip(bump, 0.0) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_hankel_forward_algebraic_decay_is_truncated():
+    # integral x J0(sx) (1 + x^2)^(-3/2) dx = e^-s; the x^-3 tail beyond
+    # the last truncation X = 200 is ~1e-6, so tol = 1e-8 is not met
+    alg = lambda x: (1.0 + np.asarray(x, dtype=float) ** 2) ** -1.5
+    r = tr.hankel_forward(alg, [0.5, 1.0, 2.0])
+    assert not r.diagnostics["converged"]
+    assert r.diagnostics["x_cut"] == 200.0
+    assert np.max(np.abs(r.values - np.exp(-r.grid))) < 1e-5
 
 
 def test_generalized_forward_zero_and_escalation():
@@ -165,10 +192,10 @@ def test_fixture_suite_contents():
 
 def test_jtype_multi_evaluators_match_handles():
     from bessel4.solutions import SolutionHandle, SolutionKind, \
-        eval_solution, eval_solution_derivs
+        eval_jtype_outer, eval_solution, eval_solution_derivs
     lams = np.array([0.3, 1.0, 2.5])
     x = 7.0
-    multi = tr.jtype_eval_multi(lams, x, P1)
+    multi = eval_jtype_outer(lams, x, P1)[:, 0]
     single = [eval_solution(SolutionHandle(SolutionKind.jtype, l, P1), x)
               for l in lams]
     assert np.allclose(multi, single, rtol=1e-13)
@@ -176,7 +203,7 @@ def test_jtype_multi_evaluators_match_handles():
     # the switch the direct formula loses digits to cancellation
     P2 = Params(2.0)
     near = np.array([25.0, 60.0, 150.0, 400.0])
-    multi = tr.jtype_eval_multi(near, 0.005, P2)
+    multi = eval_jtype_outer(near, 0.005, P2)[:, 0]
     single = [eval_solution(SolutionHandle(SolutionKind.jtype, l, P2), 0.005)
               for l in near]
     assert np.allclose(multi, single, rtol=1e-13, atol=0.0)
@@ -220,7 +247,7 @@ def test_batched_forward_closed_forms(M):
 
 def test_forward_evaluator_batch_equals_elementwise():
     expx = lambda x: np.exp(-np.asarray(x, dtype=float))
-    batch = tr._ForwardEvaluator(expx, P1)(_BATCH_LAMS)
-    single = tr._ForwardEvaluator(expx, P1)
+    batch = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))(_BATCH_LAMS)
+    single = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))
     one_by_one = np.array([single(l)[0] for l in _BATCH_LAMS])
     assert np.max(np.abs(batch - one_by_one)) <= 1e-15
