@@ -8,6 +8,8 @@ error, 3 numeric non-convergence.
 """
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -55,11 +57,13 @@ def parse_grid(spec):
 def _emit(args, header, rows, meta):
     """Write rows (list of tuples) under the header, CSV or JSON."""
     if args.format == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                           else str(v) for v in row) for row in rows]
-        lines += [f"# {k}: {v}" for k, v in sorted(meta.items())]
-        text = "\n".join(lines) + "\n"
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) if isinstance(v, (int, float, np.floating))
+                          else str(v) for v in row] for row in rows)
+        text = buf.getvalue() + "".join(f"# {k}: {v}\n"
+                                        for k, v in sorted(meta.items()))
     else:
         payload = {"columns": list(header),
                    "rows": [[float(v) if isinstance(v, (int, float, np.floating))
@@ -161,7 +165,7 @@ def cmd_spectrum(args):
 
 
 def cmd_verify(args):
-    results = run_suite(quick=args.quick)
+    results = run_suite()
     rows = [(r.check_id, r.description, r.measured, r.op, r.threshold,
              "pass" if r.passed else "FAIL", round(r.seconds, 3))
             for r in results]
@@ -238,8 +242,6 @@ def build_parser():
     q.set_defaults(fn=cmd_spectrum)
 
     q = sub.add_parser("verify", help="run the invariant suite")
-    q.add_argument("--quick", action="store_true",
-                   help="single-M transform block")
     q.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("pde-residual", help="planar separation residual table")

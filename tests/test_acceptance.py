@@ -1,281 +1,126 @@
-"""Acceptance criteria, one test per criterion, each printing a verdict line.
+"""Acceptance criteria, graded from one ``bessel4 verify`` run.
 
-Every tolerance below is pinned to the stated requirement; the runtime
-ceilings are asserted with time.monotonic.  The summary block at the end
-of the pytest run lists one line per criterion.
+Each criterion ACCEPT-NN is a set of check IDs of the registry in
+``bessel4.verify``, where every check is defined once, plus an optional
+time ceiling.  A session fixture runs the CLI's ``verify`` once in a
+subprocess; each criterion reads its rows from that JSON and prints one
+verdict line in the terminal summary.  A ceiling is asserted against
+the sum of the criterion's check seconds, ACCEPT-12's against the wall
+time of the whole subprocess.
 """
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
-import numpy as np
 import pytest
 
 from conftest import record_acceptance
 
-from bessel4 import forms as F
-from bessel4 import frobenius as fr
-from bessel4 import plum
-from bessel4 import spectral as sp
-from bessel4 import transforms as tr
-from bessel4 import classical as cb
-from bessel4.fixtures import load_suite
-from bessel4.measures import inner_product, spectral_measure
-from bessel4.quadrature import adaptive_quad
-from bessel4.solutions import (Params, SolutionHandle, SolutionKind,
-                               eval_solution, spectral_value)
+from bessel4.verify import CHECKS
 
-LAM_M_GRID = [(lam, M) for lam in (0.5, 1.0, 2.0) for M in (0.5, 1.0, 4.0)]
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# ACCEPT number: (test name, verdict name, check IDs, time ceiling in s)
+ACCEPTANCE = {
+    1: ("solution_residuals", "solution residuals", ("BT-RESIDUAL",), 5.0),
+    2: ("boundary_normalization", "boundary normalization", ("BT-NORM",),
+        None),
+    3: ("classical_limit", "classical limit", ("BT-CLASSICAL",), None),
+    4: ("frobenius", "frobenius structure",
+        ("FR-ROOTS", "FR-Y4", "FR-Y4-LEAD"), None),
+    5: ("boundary_form_identities", "boundary forms",
+        ("FO-SYMPL16", "FO-LIMIT-BC", "FO-GREEN", "FO-DIRICHLET"), None),
+    6: ("positivity", "positivity", ("FO-POS-T0", "FO-POS-SK"), 10.0),
+    7: ("eigenvalue_extension_map", "eigenvalue-extension map",
+        ("SP-EXT", "SP-EXT-BC"), 30.0),
+    8: ("generalized_transform_suite", "generalized transform",
+        ("TR-PARSEVAL", "TR-MOMENT", "TR-ROUNDTRIP"), 180.0),
+    9: ("vanishing_moment_and_mass", "vanishing moment",
+        ("TR-VANISH", "MQ-N-MASS"), None),
+    10: ("delta_families", "delta families",
+         ("TR-DELTA-CL", "TR-DELTA-GEN", "TR-M-LIMIT"), None),
+    11: ("plum_separation", "planar separation", ("PL-SEP", "PL-CRIT"), None),
+    12: ("kernel_suite_and_cli_verify", "kernel quality and verify",
+         ("CB-WRONSKIAN", "CB-K-DECAY"), 300.0),
+}
+
+# Checks that `bessel4 verify` runs and no criterion names.
+VERIFY_ONLY = {"CB-ODE", "BT-BASIS", "BT-K-DECAY", "FR-LOG", "FR-INDEP",
+               "FR-FIT", "MQ-QUAD", "MQ-OSC", "MQ-MK", "FO-LIMIT-PAIR",
+               "FO-GREEN-CONST", "SP-SK-SCAN", "SP-OSC"}
 
 
-def _verdict(num, name, ok, detail):
-    line = f"ACCEPT-{num:02d} {name}: {'PASS' if ok else 'FAIL'} ({detail})"
+@pytest.fixture(scope="session")
+def verify_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("verify") / "verify.json"
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bessel4.cli", "verify", "--format", "json",
+         "--out", str(out)], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)))
+    wall = time.monotonic() - t0
+    payload = json.loads(out.read_text()) if out.exists() else {}
+    cols = payload.get("columns", [])
+    return {"rc": proc.returncode, "wall": wall,
+            "meta": payload.get("meta", {}),
+            "rows": {r[0]: dict(zip(cols, r)) for r in payload.get("rows", [])}}
+
+
+def _verdict(num, run):
+    _, name, ids, ceiling = ACCEPTANCE[num]
+    rows = [run["rows"].get(i) for i in ids]
+    ok = all(r is not None and r["status"] == "pass" for r in rows)
+    detail = [f"{i} missing" if r is None else
+              f"{i} {r['measured']:.1e} {r['op']} {r['threshold']:g}"
+              for i, r in zip(ids, rows)]
+    if num == 12:
+        elapsed = run["wall"]
+        ok &= run["rc"] == 0 and run["meta"].get("all_passed") is True
+        detail.append(f"verify rc={run['rc']} with "
+                      f"{run['meta'].get('checks', '?')} checks")
+    else:
+        elapsed = sum(r["seconds"] for r in rows if r is not None)
+    if ceiling is not None:
+        ok &= elapsed < ceiling
+        detail.append(f"{elapsed:.1f}s < {ceiling:g}s")
+    line = (f"ACCEPT-{num:02d} {name}: {'PASS' if ok else 'FAIL'} "
+            f"({'; '.join(detail)})")
     record_acceptance(line)
     print(line)
     assert ok, line
 
 
-def test_acceptance_01_solution_residuals():
-    t0 = time.monotonic()
-    grid = np.geomspace(0.01, 30.0, 40)
-    worst = 0.0
-    for lam, M in LAM_M_GRID:
-        P = Params(M)
-        L = spectral_value(lam, P)
-        for kind in SolutionKind:
-            h = SolutionHandle(kind, lam, P)
-            worst = max(worst, F.residual_expression(h, L, grid, P))
-    dt = time.monotonic() - t0
-    _verdict(1, "solution residuals", worst <= 1e-6 and dt < 5.0,
-             f"max residual {worst:.2e} <= 1e-6, {dt:.2f}s < 5s")
+def _criterion(num):
+    def test(verify_run):
+        _verdict(num, verify_run)
+    return test
 
 
-def test_acceptance_02_boundary_normalization():
-    worst = 0.0
-    for lam, M in LAM_M_GRID:
-        for kind in (SolutionKind.jtype, SolutionKind.itype):
-            h = SolutionHandle(kind, lam, Params(M))
-            worst = max(worst, abs(eval_solution(h, 0.0) - 1.0))
-    _verdict(2, "boundary normalization", worst <= 1e-10,
-             f"max |value(0) - 1| = {worst:.2e} <= 1e-10")
+# One test per criterion, under the names the criteria have always had.
+globals().update({f"test_acceptance_{num:02d}_{row[0]}": _criterion(num)
+                  for num, row in ACCEPTANCE.items()})
 
 
-def test_acceptance_03_classical_limit():
-    xs = np.linspace(0.1, 10.0, 80)
-    devs = []
-    for M in (1.0, 0.1, 0.01, 0.001):
-        h = SolutionHandle(SolutionKind.jtype, 1.0, Params(M))
-        devs.append(float(np.max(np.abs(eval_solution(h, xs) - cb.j0(xs)))))
-    monotone = all(b < a for a, b in zip(devs, devs[1:]))
-    _verdict(3, "classical limit", monotone and devs[-1] <= 5e-3,
-             f"monotone {monotone}, final dev {devs[-1]:.2e} <= 5e-3")
+def test_registry_covers_every_criterion():
+    ids = [c.check_id for c in CHECKS]
+    assert len(ids) == len(set(ids))
+    named = {i for row in ACCEPTANCE.values() for i in row[2]}
+    assert named <= set(ids)
+    assert set(ids) - named == VERIFY_ONLY
 
 
-def test_acceptance_04_frobenius():
-    ok = True
-    detail = []
-    want = {4: [4, 2, 0, -2], 6: [6, 4, 2, 0, -2, -4],
-            8: [8, 6, 4, 2, 0, -2, -4, -6]}
-    for order in (4, 6, 8):
-        roots = fr.indicial_roots(fr.OdeSpec.build(order, Params(1.0), 0.0))
-        ok &= roots == want[order]
-    detail.append("roots exact")
-    for M in (0.5, 1.0, 3.0):
-        fs = fr.y4_series(1.0, Params(M), N=20)
-        ok &= fs.coeffs[0] == 1.0
-        ok &= abs(fs.coeffs[2] * 3.0 * M - 1.0) < 5e-15
-    resid = float(fr.substitution_residual(fr.y4_series(1.0, Params(1.0), 20),
-                                           1.0, Params(1.0), 0.1))
-    ok &= resid <= 1e-12
-    detail.append(f"y4 residual {resid:.1e} <= 1e-12")
-    _verdict(4, "frobenius structure", ok, "; ".join(detail))
-
-
-def test_acceptance_05_boundary_form_identities():
-    P = Params(1.0)
-    one = F.SeriesBundle.monomial(0)
-    xsq = F.SeriesBundle.monomial(2)
-    grid = 1e-2 / 2.0 ** np.arange(5)
-    v16 = abs(F._ladder(F.symplectic_form(one, xsq, grid, P)))
-    ok = abs(v16 - 16.0) <= 1e-6
-    worst_rel = 0.0
-    for lam, M in ((0.5, 1.0), (1.0, 1.0), (2.0, 0.5), (1.0, 4.0)):
-        Pm = Params(M)
-        for kind in (SolutionKind.jtype, SolutionKind.itype):
-            h = F.SolutionBundle(SolutionHandle(kind, lam, Pm))
-            b = F.boundary_data(h, Pm)
-            s1 = F._ladder(F.symplectic_form(h, one, grid, Pm))
-            s2 = F._ladder(F.symplectic_form(h, xsq, grid, Pm))
-            worst_rel = max(worst_rel,
-                            abs(s1 + 8 * b.f2) / (1 + abs(8 * b.f2)),
-                            abs(s2 - 16 * b.f0) / (1 + abs(16 * b.f0)))
-    ok &= worst_rel <= 1e-5
-    hj = SolutionHandle(SolutionKind.jtype, 1.0, P)
-    hk = SolutionHandle(SolutionKind.ktype, 1.0, P)
-    hi = SolutionHandle(SolutionKind.itype, 1.0, P)
-    g_defect = F.greens_check(hj, hk, 0.5, 3.0, P, tol=1e-10)
-    d_defect = F.dirichlet_check(hi, hi, 0.5, 3.0, P, tol=1e-10)
-    ok &= g_defect <= 1e-7 and d_defect <= 1e-7
-    _verdict(5, "boundary forms",
-             ok, f"|[1,x^2](0+)|-16 = {v16 - 16:.1e}; limit identities "
-             f"{worst_rel:.1e} <= 1e-5; Green {g_defect:.1e}, "
-             f"Dirichlet {d_defect:.1e} <= 1e-7")
-
-
-def _zero_boundary_suite():
-    polys = ([0, 0, 0, 0, 1.0], [0, 0, 0, 0, 0, 1.0], [0, 0, 0, 0, 0, 0, 1.0],
-             [0, 0, 0, 0, 1.0, 0, 0.5], [0, 0, 0, 0, 2.0, 1.0])
-    return [F.PolyGaussBundle(c, s) for c in polys for s in (0.5, 1.0)]
-
-
-def test_acceptance_06_positivity():
-    t0 = time.monotonic()
-    P = Params(1.0)
-    worst_t0 = np.inf
-    worst_sk = np.inf
-    for f in _zero_boundary_suite():
-        quad = adaptive_quad(
-            lambda x: F.apply_expression(f, x, P) * f.derivs(x, 0)[0],
-            0.0, 30.0, tol=1e-9).value
-        worst_t0 = min(worst_t0, quad)
-        f0, f2 = f.boundary_exact()
-        for k in (0.5, P.M / 2.0):
-            atom = k * (-8.0 / k * f2) * f0
-            worst_sk = min(worst_sk, atom + quad)
-    dt = time.monotonic() - t0
-    ok = worst_t0 >= -1e-8 and worst_sk >= -1e-8 and dt < 10.0
-    _verdict(6, "positivity", ok,
-             f"min (T0 f, f) = {worst_t0:.2e}, min (S_k f, f) = "
-             f"{worst_sk:.2e} >= -1e-8, {dt:.1f}s < 10s")
-
-
-def test_acceptance_07_eigenvalue_extension_map():
-    t0 = time.monotonic()
-    P = Params(1.0)
-    mus = -np.geomspace(15.0, 1e-3, 20)
-    grid = np.geomspace(0.02, 20.0, 25)
-    worst_res = 0.0
-    worst_bc = 0.0
-    pairs = []
-    alpha_ok = True
-    for mu in mus:
-        cand = sp.decaying_regular_solution(float(mu), P)
-        worst_res = max(worst_res,
-                        F.residual_expression(cand.fn, float(mu), grid, P))
-        e = sp.extension_for_eigenvalue(float(mu), P)
-        worst_bc = max(worst_bc,
-                       abs(sp.extension_boundary_condition(e, cand.boundary)))
-        alpha_ok &= abs(e.alpha) > 1e-6
-        pairs.append((e.alpha, e.beta))
-    arr = np.array(pairs)
-    dist = np.sqrt(((arr[:, None, :] - arr[None, :, :]) ** 2).sum(-1))
-    np.fill_diagonal(dist, 1.0)
-    dt = time.monotonic() - t0
-    ok = (worst_res <= 1e-6 and worst_bc <= 1e-8 and dist.min() > 1e-6
-          and alpha_ok and dt < 30.0)
-    _verdict(7, "eigenvalue-extension map", ok,
-             f"residual {worst_res:.1e} <= 1e-6, boundary {worst_bc:.1e} "
-             f"<= 1e-8, min distance {dist.min():.1e}, alpha != 0 "
-             f"{alpha_ok}, {dt:.1f}s < 30s")
-
-
-def test_acceptance_08_generalized_transform_suite():
-    t0 = time.monotonic()
-    suite = load_suite()
-    worst_pars = worst_mom = worst_rt = worst_origin = 0.0
-    for fx in suite:
-        for M in (0.5, 1.0, 2.0):
-            P = Params(M)
-            lhs, rhs = tr.generalized_parseval(fx, P, x_cut=fx.x_cut)
-            worst_pars = max(worst_pars, abs(lhs - rhs) / abs(rhs))
-            worst_mom = max(worst_mom,
-                            tr.moment_identity_defect(fx, P, x_cut=fx.x_cut))
-            pts = [0.0, 0.5, 1.0, 2.0]
-            r = tr.generalized_roundtrip(fx, P, pts, x_cut=fx.x_cut)
-            expect = np.array([float(np.atleast_1d(fx(p))[0]) for p in pts])
-            errs = np.abs(r.values - expect)
-            worst_origin = max(worst_origin, errs[0])
-            worst_rt = max(worst_rt, float(errs[1:].max()))
-    dt = time.monotonic() - t0
-    ok = (worst_pars <= 1e-4 and worst_mom <= 1e-4 and worst_rt <= 1e-3
-          and worst_origin <= 1e-3 and dt < 180.0)
-    _verdict(8, "generalized transform", ok,
-             f"Parseval {worst_pars:.1e} <= 1e-4, moment {worst_mom:.1e} "
-             f"<= 1e-4, roundtrip {worst_rt:.1e} / origin "
-             f"{worst_origin:.1e} <= 1e-3, {dt:.0f}s < 180s")
-
-
-def test_acceptance_09_vanishing_moment_and_mass():
-    worst = 0.0
-    for eta in (0.5, 1.0, 5.0):
-        for M in (0.5, 1.0, 2.0):
-            worst = max(worst, abs(tr.vanishing_moment(eta, Params(M))))
-    one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    worst_mass = 0.0
-    for M in (0.5, 1.0, 2.0):
-        v = inner_product(one, one, spectral_measure(M))
-        worst_mass = max(worst_mass, abs(v - 2.0 / M))
-    ok = worst <= 1e-5 and worst_mass <= 1e-8
-    _verdict(9, "vanishing moment", ok,
-             f"max |moment| {worst:.1e} <= 1e-5, mass defect "
-             f"{worst_mass:.1e} <= 1e-8")
-
-
-def test_acceptance_10_delta_families():
-    d_cl = abs(tr.weak_delta_probe("classical", 1.0, 200.0) - 1.0)
-    d_gen = abs(tr.weak_delta_probe("generalized", 1.0, 200.0,
-                                    params=Params(1.0)) - 1.0)
-    kc = tr.ortho_kernel_classical(1.0, 2.0, 50.0)
-    devs = [abs(tr.ortho_kernel_generalized(1.0, 2.0, Params(M), 50.0) - kc)
-            for M in (1.0, 0.1, 0.01)]
-    monotone = devs[2] < devs[1] < devs[0]
-    ok = d_cl <= 2e-2 and d_gen <= 2e-2 and monotone
-    _verdict(10, "delta families", ok,
-             f"classical {d_cl:.1e}, generalized {d_gen:.1e} <= 2e-2, "
-             f"M-limit monotone {monotone}")
-
-
-def test_acceptance_11_plum_separation():
-    r_grid = np.linspace(0.2, 5.0, 10)
-    t_grid = np.linspace(0.0, np.pi, 8, endpoint=False)
-    worst = 0.0
-    for kind in (SolutionKind.jtype, SolutionKind.ktype):
-        h = SolutionHandle(kind, 1.0, Params(1.0))
-        u = plum.SeparatedSolution.from_handle(h, A=0.8, B=0.6)
-        worst = max(worst, plum.plum_residual(u, r_grid, t_grid))
-    crit = (plum.angular_criticality_check(4.0)
-            and not plum.angular_criticality_check(1.0)
-            and not plum.angular_criticality_check(0.0))
-    ok = worst <= 1e-5 and crit
-    _verdict(11, "planar separation", ok,
-             f"max residual {worst:.1e} <= 1e-5 on 10x8 grid, criticality "
-             f"pattern {crit}")
-
-
-def test_acceptance_12_kernel_suite_and_cli_verify(tmp_path):
-    import json
-    import os
-    import pathlib
-    import subprocess
-    import sys
-    xs = np.geomspace(1e-3, 50.0, 60)
-    w = cb.j0(xs) * (-cb.y1(xs)) - cb.y0(xs) * (-cb.j1(xs))
-    wrons = float(np.max(np.abs(w - 2 / (np.pi * xs)) / (2 / (np.pi * xs))))
-    kvals = cb.k0(xs)
-    kmono = bool(np.all(kvals > 0) and np.all(np.diff(kvals) < 0))
-    t0 = time.monotonic()
-    out = tmp_path / "verify.json"
-    env = dict(os.environ, PYTHONPATH=str(
-        pathlib.Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "bessel4.cli", "verify", "--format", "json",
-         "--out", str(out)], capture_output=True, text=True, env=env)
-    dt = time.monotonic() - t0
-    payload = json.loads(out.read_text()) if out.exists() else {}
-    ok = (wrons <= 1e-10 and kmono and proc.returncode == 0
-          and payload.get("meta", {}).get("all_passed") is True
-          and dt < 300.0)
-    _verdict(12, "kernel quality and verify", ok,
-             f"Wronskian {wrons:.1e} <= 1e-10, K monotone {kmono}, "
-             f"verify rc={proc.returncode} with "
-             f"{payload.get('meta', {}).get('checks', '?')} checks, "
-             f"{dt:.0f}s < 300s")
+def test_failing_row_prints_fail_and_asserts(monkeypatch):
+    lines = []
+    monkeypatch.setattr(sys.modules[__name__], "record_acceptance",
+                        lines.append)
+    row = {"measured": 2e-6, "op": "<=", "threshold": 1e-6, "status": "FAIL",
+           "seconds": 0.5}
+    run = {"rc": 1, "wall": 1.0, "meta": {}, "rows": {"BT-RESIDUAL": row}}
+    with pytest.raises(AssertionError):
+        _verdict(1, run)
+    assert lines == ["ACCEPT-01 solution residuals: FAIL (BT-RESIDUAL 2.0e-06 "
+                     "<= 1e-06; 0.5s < 5s)"]

@@ -106,3 +106,18 @@ def test_inverse_command_small():
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert float(payload["meta"]["max_abs_defect"]) < 1e-3
+
+
+def test_csv_quotes_fields_with_commas(tmp_path):
+    import argparse
+    import csv
+    from bessel4.cli import _emit
+    out = tmp_path / "rows.csv"
+    args = argparse.Namespace(format="csv", out=str(out), command="verify")
+    row = ("FR-ROOTS", "orders 4, 6, 8", 0.0, "<=", 0.0, "pass", 0.007)
+    _emit(args, ("check_id", "description", "measured", "op", "threshold",
+                 "status", "seconds"), [row], {"checks": 1})
+    with open(out, newline="") as fh:
+        parsed = [r for r in csv.reader(fh) if not r[0].startswith("#")]
+    assert parsed[1] == ["FR-ROOTS", "orders 4, 6, 8", "0", "<=", "0", "pass",
+                         "0.0070000000000000001"]
