@@ -4,13 +4,16 @@ All eight kernels are implemented in-house (power series, large-argument
 expansions, and an exponentially convergent cosh-integral rule for the
 K middle band) so the accuracy budget is fully under local control.
 
-Region layout, fixed after bring-up validation against 50-digit reference
-values:
+Region layout, validated against 40-digit mpmath references:
 
-* J/Y families: Maclaurin-type series with double-double accumulation for
-  x < 16, Hankel large-argument expansion beyond.  The expansion's optimal
-  truncation floor is ~e^(-2x); at x = 16 that is 1.3e-14, inside the
-  1e-12 budget, while the compensated series holds ~1e-15 from below.
+* J/Y families: plain float64 Maclaurin-type series for x < 8 (error
+  up to ~1e-13 of the envelope sqrt(2/(pi x)), worst for y0 near 8).  For
+  x >= 8 one modulus-phase form, J = sqrt(2/(pi x)) (P cos w - Q sin w)
+  and Y = sqrt(2/(pi x)) (P sin w + Q cos w) with w = x - (2 nu + 1) pi/4,
+  where P and Q come from Chebyshev tables in 1/x on [8, 17) and from the
+  Hankel expansion beyond, and cos w, sin w are built from cos x, sin x of
+  the exact x.  Against 40-digit mpmath its error stays below 6e-16 of the
+  envelope from 8 to at least 1.3e5.
 * I family: all-positive series (condition number 1) up to x = 30,
   large-argument expansion beyond, overflow signalled past x = 705.
 * K family: logarithmic series up to x = 2, trapezoid rule on
@@ -26,21 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ddouble import (
-    dd,
-    dd_add,
-    dd_div_float,
-    dd_mul,
-    dd_mul_float,
-    dd_neg,
-    dd_to_float,
-    two_prod,
-    quick_two_sum,
-)
-
-_OSC_SWITCH = 17.0   # J/Y series <-> asymptotic
-_OSC_PLAIN = 8.0     # below this the series cancellation is mild enough
-                     # (condition number < ~1e3) for plain float64
+_OSC_SWITCH = 17.0   # J/Y P, Q: Chebyshev tables <-> Hankel expansion
+_OSC_PLAIN = 8.0     # J/Y series <-> modulus-phase form; below this the
+                     # series cancellation is mild enough (condition
+                     # number < ~1e3) for plain float64
 _I_SWITCH = 30.0     # I series <-> asymptotic
 _K_SERIES_MAX = 2.0  # K log-series above this -> cosh integral
 _K_ASYM_MIN = 20.0   # K cosh integral above this -> asymptotic
@@ -52,31 +44,8 @@ _EG = np.euler_gamma
 # ---------------------------------------------------------------------------
 # series kernels (small argument)
 
-def _quarter_square_dd(x):
-    """(x/2)^2 as a double-double pair."""
-    p, e = two_prod(x, x)
-    return quick_two_sum(p / 4.0, e / 4.0)
-
-
 def _series_terms(x, slack):
     return slack + int(2.0 * float(np.max(x, initial=0.0)))
-
-
-def _j_series_dd(x, order, nterms=None):
-    """J0 or J1 on x < 17 as a double-double pair."""
-    if nterms is None:
-        nterms = _series_terms(x, 18)
-    u4 = _quarter_square_dd(x)
-    t = dd(np.ones_like(x))
-    s = t
-    for k in range(1, nterms + 1):
-        t = dd_mul(t, u4)
-        den = -(k * k) if order == 0 else -(k * (k + 1))
-        t = dd_div_float(t, float(den))
-        s = dd_add(s, t)
-    if order == 1:
-        s = dd_mul_float(s, x / 2.0)
-    return s
 
 
 def _j_series_f64(x, order):
@@ -123,45 +92,6 @@ def _y1_series_f64(x):
     ell = np.log(x / 2.0) + _EG
     return (2.0 / np.pi) * ell * (x / 2.0) * j1sum - 2.0 / (np.pi * x) \
         - (x / (2.0 * np.pi)) * s
-
-
-def _y0_series(x, nterms=None):
-    if nterms is None:
-        nterms = _series_terms(x, 18)
-    u4 = _quarter_square_dd(x)
-    j0dd = _j_series_dd(x, 0, nterms)
-    t = dd(np.ones_like(x))
-    h = dd(0.0)
-    s = dd(np.zeros_like(x))
-    for k in range(1, nterms + 1):
-        t = dd_mul(t, u4)
-        t = dd_div_float(t, -(k * k))
-        h = dd_add(h, dd_div_float(dd(1.0), float(k)))
-        s = dd_add(s, dd_mul(t, h))
-    ell = np.log(x / 2.0) + _EG
-    out = dd_add(dd_mul(j0dd, dd(ell)), dd_neg(s))
-    return (2.0 / np.pi) * dd_to_float(out)
-
-
-def _y1_series(x, nterms=None):
-    if nterms is None:
-        nterms = _series_terms(x, 18)
-    u4 = _quarter_square_dd(x)
-    j1dd = _j_series_dd(x, 1, nterms)
-    # sum over k >= 0 of (H_k + H_{k+1}) * (-u/4)^k / (k! (k+1)!)
-    t = dd(np.ones_like(x))
-    h = dd(0.0)
-    s = dd_mul(t, dd(1.0))  # k = 0 term: H_0 + H_1 = 1
-    for k in range(1, nterms + 1):
-        t = dd_mul(t, u4)
-        t = dd_div_float(t, -(k * (k + 1)))
-        h = dd_add(h, dd_div_float(dd(1.0), float(k)))
-        coef = dd_add(dd_mul_float(h, 2.0), dd_div_float(dd(1.0), float(k + 1)))
-        s = dd_add(s, dd_mul(t, coef))
-    ell = np.log(x / 2.0) + _EG
-    lead = dd_to_float(dd_mul(j1dd, dd(ell)))
-    return (2.0 / np.pi) * lead - 2.0 / (np.pi * x) \
-        - (x / (2.0 * np.pi)) * dd_to_float(s)
 
 
 def _i_series(x, order, nterms=None):
@@ -234,11 +164,68 @@ def _asym_pq(x, nu, kmax=13):
     return p, q / x
 
 
-def _jy_asym(x, nu, kind):
-    p, q = _asym_pq(x, nu)
-    omega = x - (2 * nu + 1) * (np.pi / 4.0)
-    amp = np.sqrt(2.0 / (np.pi * x))
-    c, s = np.cos(omega), np.sin(omega)
+# Chebyshev coefficients of P and Q on [8, 17) in u = (272/x - 25)/9, which
+# maps x = 8 to 1 and x = 17 to -1; printed by tools/gen_jy_tables.py from
+# 40-digit mpmath values.
+_P0_CHEB = (
+    0.9993780607924774, -0.0004158918828121599, -3.563171180561891e-05,
+    3.0641256503356833e-07, 9.113671151533628e-09, -3.900443264602596e-10,
+    1.82715851827781e-12, 4.752549957083253e-13, -2.440406016464322e-14,
+    2.3867002523249066e-16, 4.893703686662478e-17, -4.0097510385673196e-18,
+    1.322639691536098e-19,
+)
+_Q0_CHEB = (
+    -0.01142333780396027, -0.004075521736177065, 1.015693655136548e-05,
+    5.197179081420954e-07, -1.0569851233740858e-08, -1.2970244864210732e-10,
+    1.4362594133522799e-11, -3.4284239340245394e-13, -1.0377255662386703e-14,
+    1.2937216973893865e-15, -5.0748295436955174e-17, -4.548676099378012e-19,
+    2.057030714492082e-19,
+)
+_P1_CHEB = (
+    1.0010405166644667, 0.0006975545743572447, 6.0444283556685374e-05,
+    -4.0021030042363414e-07, -1.2388462261496365e-08, 4.74565215930374e-10,
+    -1.5006344300821124e-12, -5.697293200732168e-13, 2.752834717173996e-14,
+    -2.1660872278077307e-16, -5.676755822868139e-17, 4.429587338397121e-18,
+    -1.3798258717842577e-19,
+)
+_Q1_CHEB = (
+    0.03437463174532504, 0.012322881042135072, -1.4371466567823566e-05,
+    -7.511715080900478e-07, 1.3202878171618267e-08, 1.7964418473929515e-10,
+    -1.7231963647470497e-11, 3.785016302401709e-13, 1.2943471930928171e-14,
+    -1.4729828263302043e-15, 5.4837990668347246e-17, 6.581493807843432e-19,
+    -2.313735574401473e-19,
+)
+
+
+def _chebyshev(coef, u):
+    """Clenshaw sum of coef[k] T_k(u)."""
+    b1 = np.zeros_like(u)
+    b2 = np.zeros_like(u)
+    u2 = 2.0 * u
+    for c in coef[:0:-1]:
+        b1, b2 = u2 * b1 - b2 + c, b1
+    return u * b1 - b2 + coef[0]
+
+
+def _cheb_pq(x, nu):
+    u = (272.0 / x - 25.0) / 9.0
+    p, q = (_P0_CHEB, _Q0_CHEB) if nu == 0 else (_P1_CHEB, _Q1_CHEB)
+    return _chebyshev(p, u), _chebyshev(q, u)
+
+
+def _jy_modphase(x, nu, kind, pq):
+    """J_nu or Y_nu = sqrt(2/(pi x)) times the P, Q combination at phase w.
+
+    w = x - (2 nu + 1) pi/4 is never rounded: sqrt(2) cos w and sqrt(2) sin w
+    come from cos x and sin x of the exact double x, which keeps the phase
+    error at the rounding of cos and sin however large x is.
+    """
+    p, q = pq(x, nu)
+    c, s = np.cos(x), np.sin(x)
+    c, s = c + s, s - c  # now sqrt(2) cos w, sqrt(2) sin w for w = x - pi/4
+    if nu == 1:          # w = x - 3 pi/4, one quarter turn further
+        c, s = s, -c
+    amp = 1.0 / np.sqrt(np.pi * x)
     if kind == "J":
         return amp * (p * c - q * s)
     return amp * (p * s + q * c)
@@ -311,56 +298,44 @@ def _piecewise(x, regions):
     return out
 
 
-def j0(x):
-    """Bessel function of the first kind, order 0."""
-    x, scalar = _prepare(x, strict_positive=False)
+_JY_SERIES = {
+    ("J", 0): lambda v: _j_series_f64(v, 0),
+    ("J", 1): lambda v: _j_series_f64(v, 1),
+    ("Y", 0): _y0_series_f64,
+    ("Y", 1): _y1_series_f64,
+}
+
+
+def _jy(x, nu, kind):
+    x, scalar = _prepare(x, strict_positive=kind == "Y")
     tiny = x < _OSC_PLAIN
     mid = ~tiny & (x < _OSC_SWITCH)
     out = _piecewise(x, [
-        (tiny, lambda v: _j_series_f64(v, 0)),
-        (mid, lambda v: dd_to_float(_j_series_dd(v, 0))),
-        (~tiny & ~mid, lambda v: _jy_asym(v, 0, "J")),
+        (tiny, _JY_SERIES[(kind, nu)]),
+        (mid, lambda v: _jy_modphase(v, nu, kind, _cheb_pq)),
+        (~tiny & ~mid, lambda v: _jy_modphase(v, nu, kind, _asym_pq)),
     ])
     return _finish(out, scalar)
+
+
+def j0(x):
+    """Bessel function of the first kind, order 0."""
+    return _jy(x, 0, "J")
 
 
 def j1(x):
     """Bessel function of the first kind, order 1."""
-    x, scalar = _prepare(x, strict_positive=False)
-    tiny = x < _OSC_PLAIN
-    mid = ~tiny & (x < _OSC_SWITCH)
-    out = _piecewise(x, [
-        (tiny, lambda v: _j_series_f64(v, 1)),
-        (mid, lambda v: dd_to_float(_j_series_dd(v, 1))),
-        (~tiny & ~mid, lambda v: _jy_asym(v, 1, "J")),
-    ])
-    return _finish(out, scalar)
+    return _jy(x, 1, "J")
 
 
 def y0(x):
     """Bessel function of the second kind, order 0 (x > 0)."""
-    x, scalar = _prepare(x, strict_positive=True)
-    tiny = x < _OSC_PLAIN
-    mid = ~tiny & (x < _OSC_SWITCH)
-    out = _piecewise(x, [
-        (tiny, _y0_series_f64),
-        (mid, _y0_series),
-        (~tiny & ~mid, lambda v: _jy_asym(v, 0, "Y")),
-    ])
-    return _finish(out, scalar)
+    return _jy(x, 0, "Y")
 
 
 def y1(x):
     """Bessel function of the second kind, order 1 (x > 0)."""
-    x, scalar = _prepare(x, strict_positive=True)
-    tiny = x < _OSC_PLAIN
-    mid = ~tiny & (x < _OSC_SWITCH)
-    out = _piecewise(x, [
-        (tiny, _y1_series_f64),
-        (mid, _y1_series),
-        (~tiny & ~mid, lambda v: _jy_asym(v, 1, "Y")),
-    ])
-    return _finish(out, scalar)
+    return _jy(x, 1, "Y")
 
 
 def i0(x):

@@ -1,8 +1,13 @@
 """Kernel tests: series/asymptotic/integral branches, recurrences, seams."""
 
+import importlib.util
+import pathlib
+
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
+from hypothesis import given, settings, strategies as st
 
 from bessel4 import classical as cb
 from bessel4.classical import BesselKind, eval_bessel, eval_bessel_derivative
@@ -54,11 +59,51 @@ def test_against_scipy(ours, ref):
 
 
 @pytest.mark.parametrize("x", [15.9999, 16.0001, 16.9999, 17.0001, 1.9999,
-                               2.0001, 19.999, 20.001, 29.99, 30.01])
+                               2.0001, 19.999, 20.001, 29.99, 30.01,
+                               7.9999, 8.0001])
 def test_branch_seams_are_continuous(x):
     for ours, ref in [(cb.j0, sps.j0), (cb.y1, sps.y1), (cb.i0, sps.i0),
                       (cb.k0, sps.k0), (cb.k1, sps.k1)]:
         assert ours(x) == pytest.approx(float(ref(x)), rel=5e-13, abs=1e-300)
+
+
+_MP_JY = {
+    "j0": lambda x: mp.besselj(0, x), "j1": lambda x: mp.besselj(1, x),
+    "y0": lambda x: mp.bessely(0, x), "y1": lambda x: mp.bessely(1, x),
+}
+
+# the modulus-phase regions of the J/Y kernels: the Chebyshev band [8, 17),
+# its two seams, and the Hankel expansion out to the largest lam * x the
+# transforms reach (drawn log-uniformly there)
+_JY_REGIONS = {
+    "band": st.floats(8.0, 17.0, exclude_max=True),
+    "seam-8": st.floats(8.0, 8.001),
+    "seam-17": st.floats(16.999, 17.001),
+    "hankel": st.floats(0.0, 1.0).map(lambda t: 17.0 * (1.3e5 / 17.0) ** t),
+}
+
+
+@pytest.mark.parametrize("region", sorted(_JY_REGIONS))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_jy_envelope_error_against_mpmath(region, data):
+    xs = data.draw(st.lists(_JY_REGIONS[region], min_size=1, max_size=3))
+    env = np.sqrt(2.0 / (np.pi * np.array(xs)))
+    with mp.workdps(40):
+        for name, ref in _MP_JY.items():
+            vals = getattr(cb, name)(np.array(xs))
+            err = [abs(mp.mpf(float(v)) - ref(mp.mpf(x))) for v, x in zip(vals, xs)]
+            assert float(max(np.array(err) / env)) <= 1e-15, (name, xs)
+
+
+def test_jy_chebyshev_tables_match_generator():
+    # the checked-in P, Q tables are what the generator prints at 40 digits
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "gen_jy_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_jy_tables", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    for name, coef in gen.chebyshev_tables(digits=40).items():
+        assert getattr(cb, name) == coef, name
 
 
 def test_wronskian_identity():
