@@ -213,6 +213,20 @@ def _cheb_pq(x, nu):
     return _chebyshev(p, u), _chebyshev(q, u)
 
 
+def _pq01(z):
+    """(P0, Q0, P1, Q1) at z >= 8 from the same tables as the J/Y kernels:
+    Chebyshev on [8, 17), the Hankel expansion beyond."""
+    z = np.asarray(z, dtype=float)
+    out = [np.empty_like(z) for _ in range(4)]
+    band = z < _OSC_SWITCH
+    for mask, pq in ((band, _cheb_pq), (~band, _asym_pq)):
+        if np.any(mask):
+            v = z[mask]
+            for o, val in zip(out, pq(v, 0) + pq(v, 1)):
+                o[mask] = val
+    return tuple(out)
+
+
 def _jy_modphase(x, nu, kind, pq):
     """J_nu or Y_nu = sqrt(2/(pi x)) times the P, Q combination at phase w.
 

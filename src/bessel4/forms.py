@@ -346,8 +346,19 @@ def greens_check(f, g, a, b, params: Params, tol=1e-9):
     return abs(quad.value - boundary)
 
 
+def _quad_to_floor(fn, a, b, tol):
+    """adaptive_quad of fn on [a, b] to tol, or to 4 ulp of the size of the
+    integral where that is larger: below it rounding, not the rule, sets
+    the error, and bisection would only spend evaluations."""
+    size = abs(adaptive_quad(fn, a, b, tol=np.inf).value)
+    floor = 4.0 * np.finfo(float).eps * size
+    return adaptive_quad(fn, a, b, tol=max(tol, floor))
+
+
 def dirichlet_check(f, g, a, b, params: Params, tol=1e-9):
-    """Defect of the Dirichlet identity on [a, b]."""
+    """Defect of the Dirichlet identity on [a, b]; inf if either integral
+    does not converge to tol (or to its rounding floor, see
+    ``_quad_to_floor``)."""
     f, g = as_bundle(f), as_bundle(g)
 
     def energy(x):
@@ -358,10 +369,12 @@ def dirichlet_check(f, g, a, b, params: Params, tol=1e-9):
     def rhs_int(x):
         return apply_expression(f, x, params) * g.derivs(x, 0)[0]
 
-    lhs = adaptive_quad(energy, a, b, tol=tol).value
+    lhs = _quad_to_floor(energy, a, b, tol)
+    rhs = _quad_to_floor(rhs_int, a, b, tol)
+    if not (lhs.converged and rhs.converged):
+        return np.inf
     boundary = dirichlet_form(f, g, b, params) - dirichlet_form(f, g, a, params)
-    rhs = adaptive_quad(rhs_int, a, b, tol=tol).value
-    return abs(lhs - boundary - rhs)
+    return abs(lhs.value - boundary - rhs.value)
 
 
 # ---------------------------------------------------------------------------

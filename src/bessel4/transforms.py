@@ -13,10 +13,27 @@ J0(lam x), weight x on both sides and no atom, so one engine runs both
 pairs, each given by its kernel and the measures of its two sides.
 
 The forward integral over [0, X] (X escalating through 25, 50, 100, 200,
-or fixed) is a matrix-vector product on whole lam arrays: lams are
-grouped by the panel count of their Gauss grid, and each group forms its
-kernel matrix K(lam_i, x_j) in row chunks of at most 2^16 entries.  The
-inverse is an adaptive head on lam in [0, 8] plus brackets of spacing
+or fixed) runs on whole lam arrays, each lam on one of two grids:
+
+* a composite Gauss grid on [0, X] with panels sized to lam (2.5 rad
+  each), read through the kernel matrix K(lam_i, x_j), formed in row
+  chunks of at most 2^16 entries;
+* for lam in the octave [2^k, 2^(k+1)), the same Gauss grid on [0, 8/2^k]
+  and Filon panels beyond it, where lam x >= 8 and K = A J0(lam x) +
+  B J1(lam x)/(lam x) is Re[exp(i lam x) a(x)] with a slowly varying
+  amplitude a built from the modulus-phase P0, Q0, P1, Q1 (A = 1, B = 0
+  for the classical pair).  Each panel fits x f a at 16 Gauss nodes by a
+  Legendre series and integrates it against exp(i lam x) exactly.  The
+  panels are sized to f alone: geometric by 1.5 from 8/2^k to 1.5, 0.75
+  wide beyond, bisected where f is not resolved.  Their count grows only
+  like log(lam).
+
+A lam takes the Filon grid when it has fewer nodes than the Gauss grid,
+so at X = 40 for lam > 4: 1056 nodes at lam = 320 against 65536.
+Against the closed forms of exp(-x) and exp(-x^2) at X = 40, lam in
+[8, 320], the forward is within 1.5e-13 (generalized pair, M <= 2) and
+1.1e-16 (classical) absolute, as the Gauss grid was.  The inverse is an
+adaptive head on lam in [0, 8] plus brackets of spacing
 pi/x summed with epsilon acceleration; at x = 0 it is the lam-measure
 integral of g.  When g oscillates on its own (f ends sharply at some E),
 the brackets follow the beat x + E, at x = 0 too.
@@ -31,6 +48,7 @@ an O(1) expression in kernel evaluations at X.  A quadrature route is
 kept for cross-checks.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,8 +63,8 @@ from .solutions import (Params, SolutionHandle, SolutionKind,
                         spectral_value)
 
 
-# entries per kernel-matrix chunk; the widest panel grid (x_cut 40 at the
-# moment tail's lam <= 320) is 65536 nodes, one lam per chunk
+# grid nodes per row chunk of a lam group (kernel-matrix entries, or
+# Filon nodes times lams)
 _CHUNK_POINTS = 1 << 16
 
 
@@ -77,11 +95,14 @@ def jtype_derivs_multi(lams, x, params: Params, order=3):
 @dataclass(frozen=True)
 class _Pair:
     """A Hankel-type pair: kernel(lams, xs) on the outer grid, equal to 1
-    at x = 0; the x side is weight x plus an atom x_atom at the origin,
-    the lam side is lam_measure.  lam_cap bounds the lam at which the
-    inverse at x = 0 reads g (see ``_measure_integral``)."""
+    at x = 0 and equal to A J0(lam x) + B J1(lam x)/(lam x) with
+    (A, B) = coeffs(lams) where lam x >= 8; the x side is weight x plus an
+    atom x_atom at the origin, the lam side is lam_measure.  lam_cap bounds
+    the lam at which the inverse at x = 0 reads g (see
+    ``_measure_integral``)."""
 
     kernel: Callable
+    coeffs: Callable
     x_atom: float
     lam_measure: AtomDensityMeasure
     lam_cap: float = np.inf
@@ -91,13 +112,21 @@ def _j0_outer(lams, xs):
     return classical.j0(np.multiply.outer(np.atleast_1d(lams), np.atleast_1d(xs)))
 
 
+def _j0_coeffs(lams):
+    return np.ones_like(lams), np.zeros_like(lams)
+
+
 # the classical order-zero pair: kernel J0(lam x), weight x on both sides
-_CLASSICAL = _Pair(_j0_outer, 0.0, lebesgue_x(), lam_cap=1000.0)
+_CLASSICAL = _Pair(_j0_outer, _j0_coeffs, 0.0, lebesgue_x(), lam_cap=1000.0)
 
 
 def _generalized_pair(params: Params) -> _Pair:
     """Kernel J_lam(x), the jump space's atom M/2 and the spectral measure."""
-    return _Pair(lambda lams, xs: eval_jtype_outer(lams, xs, params),
+    def coeffs(lams):
+        mq = params.M * (lams / 2.0) ** 2
+        return 1.0 + mq, -2.0 * mq
+
+    return _Pair(lambda lams, xs: eval_jtype_outer(lams, xs, params), coeffs,
                  params.M / 2.0, spectral_measure(params.M))
 
 
@@ -110,54 +139,249 @@ def _origin(pair: _Pair, f, f0):
     return f0, pair.x_atom * f0
 
 
+# ---------------------------------------------------------------------------
+# forward quadrature: Gauss grids and Filon panels
+
+# Filon panels hold 16 Gauss-Legendre nodes each.  From the end 8/2^k of
+# the Gauss head up to _FILON_BEND they grow geometrically by at most
+# _FILON_RATIO, beyond it they are uniform and at most _FILON_WIDTH wide,
+# so every panel's centre lies at least 5 half-widths from the origin,
+# where the amplitude's sqrt(x) and the Hankel expansion's 1/x are
+# singular.  Panels where the fit of x f misses _FILON_FIT_TOL are
+# bisected down to _FILON_MIN_HALF (see ``_fit_panels``).
+_FILON_WIDTH = 0.75
+_FILON_RATIO = 1.5
+_FILON_BEND = 2.0 * _FILON_WIDTH
+_FILON_FIT_TOL = 1e-14
+_FILON_MIN_HALF = 1e-6
+_FILON_T, _FILON_W = np.polynomial.legendre.leggauss(16)
+# _FILON_FIT[k, j] = (k + 1/2) w_j P_k(t_j): the Legendre coefficients of
+# the degree-15 interpolant are _FILON_FIT @ (values at the nodes)
+_FILON_FIT = (np.arange(16)[:, None] + 0.5) * _FILON_W \
+    * np.polynomial.legendre.legvander(_FILON_T, 15).T
+_TWO_I_POW = np.array([2.0, 2.0j, -2.0, -2.0j] * 4)
+
+
+def _legendre_moments(omega):
+    """integral over [-1, 1] of P_k(t) exp(i omega t) dt = 2 i^k j_k(omega)
+    for k = 0..15, shape omega.shape + (16,), for omega >= 1e-3.
+
+    The spherical Bessel values j_k come from Miller's downward recurrence,
+    started where j_k has become negligible next to j_0..j_15 and scaled
+    to whichever of j_0 = sin w / w and j_1 is larger.  From omega = 32 on
+    the upward recurrence from j_0, j_1 is stable for every k < 16 (its
+    characteristic roots stay on the unit circle while 2k + 1 <= omega),
+    so the cost does not grow with omega.
+    """
+    omega = np.asarray(omega, dtype=float)
+    n = _TWO_I_POW.size
+    out = np.empty(omega.shape + (n,))
+    w = omega.ravel()
+    jk = out.reshape(-1, n)
+    s, c = np.sin(w), np.cos(w)
+    j0, j1 = s / w, (s / w - c) / w
+    up = w >= 2.0 * n
+    if np.any(up):
+        wu = w[up]
+        rows = np.empty((wu.size, n))
+        rows[:, 0], rows[:, 1] = j0[up], j1[up]
+        for k in range(1, n - 1):
+            rows[:, k + 1] = (2 * k + 1) / wu * rows[:, k] - rows[:, k - 1]
+        jk[up] = rows
+    down = ~up
+    if np.any(down):
+        wd = w[down]
+        start = (n + 20 + wd + 4.0 * np.cbrt(wd)).astype(int)
+        rows = np.empty((wd.size, n))
+        hi = np.zeros_like(wd)   # j_(k+1), unnormalized
+        cur = np.zeros_like(wd)  # j_k
+        for k in range(int(start.max()), 0, -1):
+            cur = np.where(start == k, 1e-30, cur)
+            hi, cur = cur, (2 * k + 1) / wd * cur - hi
+            if k <= n:
+                rows[:, k - 1] = cur
+        use0 = np.abs(j0[down]) >= np.abs(j1[down])
+        scale = np.where(use0, j0[down] / rows[:, 0], j1[down] / rows[:, 1])
+        jk[down] = rows * scale[:, None]
+    return out * _TWO_I_POW
+
+
+def _panel_count(x_cut, freq):
+    """Gauss panels on [0, x_cut], a power of two: they resolve both the
+    kernel oscillation (2.5 rad per panel) and the profile of f itself
+    (panel width at most 0.75)."""
+    per_panel = 2.5
+    need = max(4, math.ceil(x_cut / 0.75),
+               math.ceil(x_cut * max(freq, 1e-9) / per_panel))
+    return 1 << (need - 1).bit_length()
+
+
+def _gauss_panels(f, x_cut, npanels):
+    """Composite 8-point Gauss-Legendre nodes on [0, x_cut] and their
+    weights times x f(x)."""
+    xg, wg = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(0.0, x_cut, npanels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1] - edges[0])
+    nodes = (mid[:, None] + half * xg[None, :]).ravel()
+    wts = np.tile(half * wg, npanels)
+    fx = np.asarray(f(nodes), dtype=float) * nodes
+    return nodes, wts * fx
+
+
+def _filon_edges(x0, x_cut):
+    """Filon panel edges on [x0, x_cut] (see _FILON_RATIO)."""
+    bend = min(max(x0, _FILON_BEND), x_cut)
+    parts = [[x0]]
+    if bend > x0:
+        n = int(np.ceil(np.log(bend / x0) / np.log(_FILON_RATIO)))
+        parts.append(x0 * (bend / x0) ** (np.arange(1, n) / n))
+        parts.append([bend])
+    if x_cut > bend:
+        n = int(np.ceil((x_cut - bend) / _FILON_WIDTH))
+        parts.append(np.linspace(bend, x_cut, n + 1)[1:])
+    return np.concatenate(parts)
+
+
+def _fit_panels(f, edges):
+    """(centres, half-widths, nodes, x f at the nodes) of the Filon panels:
+    the panels between edges, bisected until the degree-15 interpolant of
+    x f on each has its last two Legendre coefficients below
+    _FILON_FIT_TOL of max |x f| (where f has a kink or ends, as at the
+    edge of a compact support), down to _FILON_MIN_HALF."""
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    done, scale = [], None
+    while mid.size:
+        x = mid[:, None] + half[:, None] * _FILON_T
+        xf = x * np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+        if scale is None:
+            scale = np.max(np.abs(xf))
+        tail = np.max(np.abs(xf @ _FILON_FIT[-2:].T), axis=1)
+        split = (tail > _FILON_FIT_TOL * scale) & (half > _FILON_MIN_HALF)
+        done.append((mid[~split], half[~split], x[~split], xf[~split]))
+        mid = np.concatenate([mid[split] - 0.5 * half[split],
+                              mid[split] + 0.5 * half[split]])
+        half = np.tile(0.5 * half[split], 2)
+    return tuple(np.concatenate(parts) for parts in zip(*done))
+
+
+@dataclass(frozen=True)
+class _FilonGrid:
+    """The forward grid of one octave lam in [2^k, 2^(k+1)): a Gauss head
+    on [0, 8/2^k] read through the kernel, Filon panels beyond it."""
+
+    level: int
+    head: tuple      # (nodes, weights times x f) of the Gauss head
+    x: np.ndarray    # (panels, 16) Filon nodes
+    xf: np.ndarray   # x f(x) at the Filon nodes
+    mid: np.ndarray  # panel centres
+    half: np.ndarray  # panel half-widths
+    widths: np.ndarray  # the distinct half-widths ...
+    which: np.ndarray   # ... and which one each panel has
+
+    @property
+    def size(self):
+        return self.head[0].size + self.x.size
+
+
+def _filon_sum(grid: _FilonGrid, lams, A, B):
+    """integral over the Filon panels of
+    x f(x) [A J0(lam x) + B J1(lam x)/(lam x)] dx for each lam.
+
+    With z = lam x >= 8 the bracket is Re[exp(i lam x) a(x)], where
+    a = sqrt(2/(pi z)) exp(-i pi/4) [A (P0 + i Q0) - i B (P1 + i Q1)/z]
+    varies slowly.  On each panel x f a is replaced by its degree-15
+    interpolant at the Gauss nodes, a Legendre series, which is
+    integrated against exp(i lam x) exactly (``_legendre_moments``).
+    """
+    z = lams[:, None, None] * grid.x
+    p0, q0, p1, q1 = classical._pq01(z)
+    amp = grid.xf * np.sqrt(2.0 / (np.pi * z))
+    A = A[:, None, None]
+    Bz = B[:, None, None] / z
+    h = amp * ((A * p0 + Bz * q1) + 1j * (A * q0 - Bz * p1))
+    moments = _legendre_moments(lams[:, None] * grid.widths)
+    weights = np.einsum("...k,kj->...j", moments, _FILON_FIT)
+    panels = np.sum(h * weights[:, grid.which], axis=-1)
+    phase = np.exp(1j * (lams[:, None] * grid.mid))
+    total = np.sum(grid.half * phase * panels, axis=-1)
+    return (total * np.exp(-0.25j * np.pi)).real
+
+
 class _PanelCache:
-    """Composite Gauss-Legendre nodes on [0, x_cut], panel count a power
-    of two sized to the oscillation frequency, with the profile weighted
-    by x (the x-side density of every pair) pre-evaluated."""
+    """The forward grids on [0, x_cut] with the profile weighted by x (the
+    x-side density of every pair) pre-evaluated: composite Gauss-Legendre
+    grids whose panel count, a power of two, is sized to the kernel's
+    frequency, and one Filon grid per octave of lam."""
 
     def __init__(self, f, x_cut):
         self.f = f
         self.x_cut = float(x_cut)
         self._grids = {}
+        self._filon = {}
 
     def grid(self, freq):
-        # panels resolve both the kernel oscillation (2.5 rad per panel)
-        # and the profile of f itself (panel width at most 0.75)
-        per_panel = 2.5
-        need = max(4, int(np.ceil(self.x_cut / 0.75)),
-                   int(np.ceil(self.x_cut * max(freq, 1e-9) / per_panel)))
-        npanels = 1 << int(np.ceil(np.log2(need)))
+        npanels = _panel_count(self.x_cut, freq)
         if npanels not in self._grids:
-            xg, wg = np.polynomial.legendre.leggauss(8)
-            edges = np.linspace(0.0, self.x_cut, npanels + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1] - edges[0])
-            nodes = (mid[:, None] + half * xg[None, :]).ravel()
-            wts = np.tile(half * wg, npanels)
-            fx = np.asarray(self.f(nodes), dtype=float) * nodes
-            self._grids[npanels] = (nodes, wts * fx)
+            self._grids[npanels] = _gauss_panels(self.f, self.x_cut, npanels)
         return self._grids[npanels]
 
+    def filon(self, lam):
+        """The Filon grid of lam's octave if it has fewer nodes than the
+        Gauss grid of lam, else None."""
+        if not lam > 0.0:
+            return None
+        level = math.frexp(lam)[1] - 1
+        if level not in self._filon:
+            self._filon[level] = self._filon_grid(level)
+        grid = self._filon[level]
+        if grid is None or grid.size >= 8 * _panel_count(self.x_cut, lam):
+            return None
+        return grid
 
-def _forward_batch(cache: _PanelCache, lams, kernel, atom=0.0):
+    def _filon_grid(self, level):
+        x0 = math.ldexp(classical._OSC_PLAIN, -level)
+        if x0 >= self.x_cut:
+            return None
+        # the head's Gauss grid is sized for the top of the octave
+        head = _gauss_panels(self.f, x0,
+                             _panel_count(x0, math.ldexp(1.0, level + 1)))
+        mid, half, x, xf = _fit_panels(self.f, _filon_edges(x0, self.x_cut))
+        widths, which = np.unique(half, return_inverse=True)
+        return _FilonGrid(level, head, x, xf, mid, half, widths, which)
+
+
+def _forward_batch(cache: _PanelCache, lams, pair: _Pair, atom=0.0):
     """atom + integral over [0, x_cut] of x K(lam, x) f(x) dx for each lam.
 
-    The lams are grouped by the panel grid they need; each group is one
-    kernel matrix K(lam_i, x_j) times the weighted profile, formed in row
-    chunks of at most _CHUNK_POINTS entries so memory stays flat.
+    Each lam takes the Filon grid of its octave when that has fewer nodes
+    than its Gauss grid, else the Gauss grid.  The lams are grouped by
+    grid; each group is one kernel matrix K(lam_i, x_j) over the Gauss
+    nodes times the weighted profile, plus the Filon panel sum, formed in
+    row chunks of at most _CHUNK_POINTS nodes so memory stays flat.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     out = np.empty_like(lams)
     groups = {}
     for i, lam in enumerate(lams):
-        nodes, wfx = cache.grid(lam)
-        groups.setdefault(nodes.size, (nodes, wfx, []))[2].append(i)
-    for nodes, wfx, idx in groups.values():
+        filon = cache.filon(lam)
+        if filon is None:
+            nodes, wfx = cache.grid(lam)
+            key = nodes.size
+        else:
+            (nodes, wfx), key = filon.head, ("filon", filon.level)
+        groups.setdefault(key, (nodes, wfx, filon, []))[3].append(i)
+    for nodes, wfx, filon, idx in groups.values():
         idx = np.asarray(idx)
-        rows = max(1, _CHUNK_POINTS // nodes.size)
+        size = nodes.size if filon is None else filon.size
+        rows = max(1, _CHUNK_POINTS // size)
         for start in range(0, idx.size, rows):
             sel = idx[start:start + rows]
-            out[sel] = atom + kernel(lams[sel], nodes) @ wfx
+            out[sel] = atom + pair.kernel(lams[sel], nodes) @ wfx
+            if filon is not None:
+                out[sel] += _filon_sum(filon, lams[sel],
+                                       *pair.coeffs(lams[sel]))
     return out
 
 
@@ -168,7 +392,7 @@ def _forward(pair: _Pair, f, lams, f0, tol, x_cut) -> TransformResult:
     diag = {"f0": f0}
 
     def truncated(X):
-        return _forward_batch(_PanelCache(f, X), lams, pair.kernel, atom)
+        return _forward_batch(_PanelCache(f, X), lams, pair, atom)
 
     if x_cut is not None:
         diag["x_cut"] = float(x_cut)
@@ -203,7 +427,7 @@ class _ForwardEvaluator:
         keys = [float(lam) for lam in lams]
         misses = list(dict.fromkeys(k for k in keys if k not in self.cache))
         if misses:
-            vals = _forward_batch(self.panels, misses, self.pair.kernel, self.atom)
+            vals = _forward_batch(self.panels, misses, self.pair, self.atom)
             self.cache.update(zip(misses, vals.tolist()))
         return np.array([self.cache[k] for k in keys], dtype=float)
 
@@ -278,6 +502,14 @@ def _inverse(pair: _Pair, g, x_grid, tol, lam_tail_start=8.0,
     return TransformResult(grid=x_grid, values=vals, diagnostics={"points": diag})
 
 
+def _roundtrip(pair: _Pair, f, x_points, f0, tol, x_cut) -> TransformResult:
+    """The inverse of the forward of f (truncated at x_cut) on x_points.
+    The inverse's brackets follow the oscillation of g itself (see
+    ``_ring``)."""
+    gev = _ForwardEvaluator(f, pair, f0=f0, x_cut=x_cut)
+    return _inverse(pair, gev, x_points, tol, ring=_ring(gev.panels, tol))
+
+
 def _parseval(pair: _Pair, f, f0, tol, lam_max, x_cut):
     """(integral of |g|^2 over the lam measure up to lam_max, the x-side
     atom times f(0)^2 plus integral x |f|^2 dx up to x = 60)."""
@@ -323,14 +555,11 @@ def hankel_roundtrip(f, x_point, *, tol=1e-6, x_cut=36.0) -> float:
     """The iterated transform evaluated at x_point (0 allowed).
 
     Equals the mean of the one-sided limits of f at points of bounded
-    variation.  The inner transform is a fixed Gauss grid over [0, x_cut]
-    with frequency-sized panels; the outer integral is the shared inverse.
-    The inverse's brackets follow the oscillation of g itself (see
-    ``_ring``).
+    variation.  The inner transform is truncated at x_cut; the outer
+    integral is the shared inverse (see ``_roundtrip``).
     """
-    gev = _ForwardEvaluator(f, _CLASSICAL, x_cut=x_cut)
-    ring = _ring(gev.panels, tol)
-    return float(_inverse(_CLASSICAL, gev, x_point, tol, ring=ring).values[0])
+    r = _roundtrip(_CLASSICAL, f, x_point, None, tol, x_cut)
+    return float(r.values[0])
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +617,10 @@ def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
 
 def generalized_roundtrip(f, params: Params, x_points, f0=None,
                           tol=1e-6, x_cut=40.0) -> TransformResult:
-    """inverse(forward(f)) evaluated at x_points (0 allowed)."""
-    gev = _ForwardEvaluator(f, _generalized_pair(params), f0=f0, x_cut=x_cut)
-    return generalized_inverse(gev, params, x_points, tol=tol)
+    """inverse(forward(f)) evaluated at x_points (0 allowed), with the
+    inverse's brackets following the oscillation of g itself (see
+    ``_roundtrip``)."""
+    return _roundtrip(_generalized_pair(params), f, x_points, f0, tol, x_cut)
 
 
 # ---------------------------------------------------------------------------

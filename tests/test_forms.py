@@ -86,8 +86,19 @@ def test_greens_identity_solution_pair():
 def test_dirichlet_identity_cases():
     hi = SolutionHandle(SolutionKind.itype, 1.0, P1)
     assert F.dirichlet_check(hi, hi, 0.5, 2.0, P1, tol=1e-10) < 1e-7
+    # on [0.5, 3] the integrals reach 5.6e7, whose rounding floor lies
+    # above 1e-10: the check integrates to the floor instead
+    assert F.dirichlet_check(hi, hi, 0.5, 3.0, P1, tol=1e-10) < 1e-7
     assert F.dirichlet_check(XSQ, XSQ, 1.0, 2.0, P1) < 1e-9
     assert F.dirichlet_check(ONE, XSQ, 1.0, 2.0, P1) < 1e-12
+
+
+def test_dirichlet_check_reports_nonconvergence():
+    class NanBundle(F.FnBundle):
+        def derivs(self, x, order=4):
+            return np.full((order + 1, np.size(x)), np.nan)
+
+    assert F.dirichlet_check(NanBundle(), XSQ, 1.0, 2.0, P1) == np.inf
 
 
 def test_dirichlet_form_zero_cases():

@@ -228,14 +228,20 @@ _BATCH_LAMS = np.concatenate([
                                  16.5, 0.7, 30.0, 1e-3]])
 
 
+# lam >= 8 at x_cut 40: the Filon grids of six octaves
+_FILON_LAMS = np.array([8.0, 12.0, 30.0, 60.0, 120.0, 160.0, 320.0])
+
+
 @pytest.mark.parametrize("M", [0.5, 1.0, 2.0])
 def test_batched_forward_closed_forms(M):
-    lam = _BATCH_LAMS
+    lam = np.concatenate([_BATCH_LAMS, _FILON_LAMS])
     gauss = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
     expx = lambda x: np.exp(-np.asarray(x, dtype=float))
-    sizes = [tr._PanelCache(gauss, 40.0).grid(l)[0].size for l in lam]
+    panels = tr._PanelCache(gauss, 40.0)
+    sizes = [panels.grid(l)[0].size for l in _BATCH_LAMS]
     assert len(set(sizes)) >= 4
     assert sizes.count(min(sizes)) > tr._CHUNK_POINTS // min(sizes)
+    assert all(panels.filon(l) is not None for l in _FILON_LAMS)
     q = M * lam ** 2 / 4.0
     expect_gauss = np.exp(-lam ** 2 / 4.0) * ((1.0 + q) / 2.0 + M / 2.0)
     expect_expx = (1.0 + q) * (1.0 + lam ** 2) ** -1.5 \
@@ -243,6 +249,12 @@ def test_batched_forward_closed_forms(M):
     for f, expect in ((gauss, expect_gauss), (expx, expect_expx)):
         r = tr.generalized_forward(f, Params(M), lam, x_cut=40.0)
         assert np.max(np.abs(r.values - expect)) < 1e-12
+    # the classical pair on the Filon panels: A = 1, B = 0
+    lam = _FILON_LAMS
+    for f, expect in ((gauss, np.exp(-lam ** 2 / 4.0) / 2.0),
+                      (expx, (1.0 + lam ** 2) ** -1.5)):
+        r = tr._forward(tr._CLASSICAL, f, lam, None, 0.0, 40.0)
+        assert np.max(np.abs(r.values - expect)) < 1e-14
 
 
 def test_forward_evaluator_batch_equals_elementwise():
@@ -251,3 +263,84 @@ def test_forward_evaluator_batch_equals_elementwise():
     single = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))
     one_by_one = np.array([single(l)[0] for l in _BATCH_LAMS])
     assert np.max(np.abs(batch - one_by_one)) <= 1e-15
+
+
+@pytest.mark.parametrize("omega", [1e-3, 0.3, 3.0, 30.0, 31.9, 32.0, 300.0])
+def test_legendre_moments_against_mpmath(omega):
+    # integral of P_k(t) exp(i omega t) over [-1, 1] is 2 i^k j_k(omega);
+    # 31.9 and 32.0 sit on either side of the Miller/upward switch
+    import mpmath as mp
+    with mp.workdps(30):
+        expect = [complex(2 * mp.mpc(0, 1) ** k * mp.sqrt(mp.pi / (2 * omega))
+                          * mp.besselj(k + 0.5, omega)) for k in range(16)]
+    got = tr._legendre_moments(np.array([omega]))[0]
+    assert np.all(np.abs(got - expect) <= 1e-14 * np.abs(expect))
+
+
+def test_filon_forward_compact_support():
+    # the bump ends at x = 2 with all derivatives zero but no analytic
+    # continuation; the Filon panels there are bisected until the fit holds
+    from scipy import integrate, special
+    bump = lambda x: tr.smooth_bump(np.asarray(x, dtype=float) / 2.0)
+    lam = np.array([60.0, 200.0, 320.0])
+    got = tr._forward(tr._CLASSICAL, bump, lam, None, 0.0, 2.5).values
+    cuts = np.linspace(0.0, 2.0, 41)
+    for l, g in zip(lam, got):
+        ref = sum(integrate.quad(lambda x: x * bump(x) * special.j0(l * x),
+                                 a, b, epsabs=1e-16, limit=200)[0]
+                  for a, b in zip(cuts[:-1], cuts[1:]))
+        assert abs(g - ref) < 1e-14
+
+
+def _count_forward_nodes(monkeypatch):
+    """Wrap the forward's two evaluators; returns the running node count."""
+    count = [0]
+    kernel, filon_sum = tr.eval_jtype_outer, tr._filon_sum
+
+    def counted_kernel(lams, xs, params):
+        count[0] += np.size(lams) * np.size(xs)
+        return kernel(lams, xs, params)
+
+    def counted_filon(grid, lams, A, B):
+        count[0] += grid.x.size * np.size(lams)
+        return filon_sum(grid, lams, A, B)
+
+    monkeypatch.setattr(tr, "eval_jtype_outer", counted_kernel)
+    monkeypatch.setattr(tr, "_filon_sum", counted_filon)
+    return count
+
+
+def test_filon_forward_cost_is_flat_in_lambda(monkeypatch):
+    count = _count_forward_nodes(monkeypatch)
+    expx = lambda x: np.exp(-np.asarray(x, dtype=float))
+    nodes = {}
+    for lam in (30.0, 320.0):
+        count[0] = 0
+        tr.generalized_forward(expx, P1, [lam], x_cut=40.0)
+        nodes[lam] = count[0]
+    # the Gauss grids had 4096 and 65536 nodes
+    assert nodes[320.0] <= 4096
+    assert nodes[320.0] <= 4 * nodes[30.0]
+
+
+def test_roundtrip_cost_near_origin(monkeypatch):
+    # the brackets of spacing pi/x reach lam ~ 1e3 at x = 0.06; with the
+    # forward's cost flat in lam that costs about what x = 0.5 does
+    count = _count_forward_nodes(monkeypatch)
+    expx = lambda x: np.exp(-np.asarray(x, dtype=float))
+    nodes = {}
+    for x in (0.06, 0.5):
+        count[0] = 0
+        r = tr.generalized_roundtrip(expx, P1, [x], x_cut=40.0)
+        assert r.values[0] == pytest.approx(np.exp(-x), abs=1e-6)
+        nodes[x] = count[0]
+    assert nodes[0.06] <= 2 * nodes[0.5]
+
+
+def test_generalized_roundtrip_indicator_near_origin():
+    # g of the indicator of [0, 1] rings at frequency 1; without ring-sized
+    # brackets the inverse returned 1.0755 at x = 0.05, flagged converged
+    ind = lambda x: np.where(np.asarray(x, dtype=float) <= 1.0, 1.0, 0.0)
+    r = tr.generalized_roundtrip(ind, P1, [0.05, 0.5], x_cut=1.0)
+    assert all(p["converged"] for p in r.diagnostics["points"])
+    assert np.max(np.abs(r.values - 1.0)) < 1e-6
