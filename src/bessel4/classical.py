@@ -324,10 +324,12 @@ def _jy(x, nu, kind):
     x, scalar = _prepare(x, strict_positive=kind == "Y")
     tiny = x < _OSC_PLAIN
     mid = ~tiny & (x < _OSC_SWITCH)
+    far = x == np.inf  # the limit 0; cos and sin of inf are nan
     out = _piecewise(x, [
         (tiny, _JY_SERIES[(kind, nu)]),
         (mid, lambda v: _jy_modphase(v, nu, kind, _cheb_pq)),
-        (~tiny & ~mid, lambda v: _jy_modphase(v, nu, kind, _asym_pq)),
+        (~tiny & ~mid & ~far, lambda v: _jy_modphase(v, nu, kind, _asym_pq)),
+        (far, np.zeros_like),
     ])
     return _finish(out, scalar)
 

@@ -1,9 +1,17 @@
 """Log-power series and exact application of Euler-type differential operators.
 
 A ``LogPowerSeries`` is a finite sum of terms ``c * x**p * ln(x)**d`` with
-integer powers ``p`` (possibly negative) and log degrees ``d because >= 0``.  The four
+integer powers ``p`` (possibly negative) and log degrees ``d >= 0``.  The four
 closed-form solutions, the Frobenius basis at the regular singular origin,
 and the patched boundary multipliers 1, x, x^2 all live in this class.
+
+A series is compiled on its first ``evaluate``: the terms of each log
+degree d become one dense coefficient array over their power range
+pmin..pmax in steps of g, the gcd of the power gaps (2 for the solution
+series).  Evaluation is then one Horner pass in x^g per log degree, times
+x^pmin and ln(x)^d, instead of a power x**p per term.  ``_horner`` is the
+one polynomial evaluator: ``solutions.eval_jtype_outer`` runs it on the
+jtype coefficients of many lambdas at once.
 
 A ``DiffOp`` is a sum of terms ``coeff * x**m * D**j``.  Applying one to a
 monomial x**p multiplies by the falling factorial p(p-1)...(p-j+1); the
@@ -20,6 +28,19 @@ from functools import lru_cache
 import numpy as np
 
 _PRUNE = 0.0  # magnitudes are kept exactly; pruning only drops exact zeros
+
+
+def _horner(coeffs, y):
+    """sum_k coeffs[k] y^k by Horner's rule, on a new array.
+
+    The coefficients are scalars or arrays that broadcast against y.
+    """
+    acc = np.empty(np.broadcast(y, coeffs[-1]).shape)
+    acc[...] = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc *= y
+        acc += c
+    return acc
 
 
 @lru_cache(maxsize=128)
@@ -49,11 +70,12 @@ def _falling_deriv_at(j, i, p):
 class LogPowerSeries:
     """Finite sum of c * x^p * ln(x)^d terms, immutable by convention."""
 
-    __slots__ = ("terms", "_dstack")
+    __slots__ = ("terms", "_dstack", "_plan")
 
     def __init__(self, terms=None):
         self.terms = dict(terms) if terms else {}
         self._dstack = [self]
+        self._plan = None
 
     @classmethod
     def monomial(cls, power, coeff=1.0, logdeg=0):
@@ -98,18 +120,36 @@ class LogPowerSeries:
             self._dstack.append(self._dstack[-1].derivative())
         return self._dstack[:count + 1]
 
+    def _compile(self):
+        """[(d, pmin, g, ascending coefficients of x^(pmin + g k))] by d."""
+        by_degree = {}
+        for (p, d), c in self.terms.items():
+            by_degree.setdefault(d, {})[p] = c
+        plan = []
+        for d, row in sorted(by_degree.items()):
+            lo = min(row)
+            g = math.gcd(*(p - lo for p in row)) or 1
+            coeffs = [0.0] * ((max(row) - lo) // g + 1)
+            for p, c in row.items():
+                coeffs[(p - lo) // g] = c
+            plan.append((d, lo, g, coeffs))
+        return plan
+
     def evaluate(self, x):
+        if self._plan is None:
+            self._plan = self._compile()
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        needs_log = any(d > 0 for (_, d) in self.terms)
-        logx = np.log(x) if needs_log else None
+        logx = np.log(x) if self._plan and self._plan[-1][0] > 0 else None
         out = np.zeros_like(x)
-        for (p, d), c in sorted(self.terms.items()):
-            term = c * x ** p if p != 0 else np.full_like(x, c)
+        for d, lo, g, coeffs in self._plan:
+            acc = _horner(coeffs, x ** g)
+            if lo != 0:
+                acc *= x ** lo
             if d > 0:
-                term = term * logx ** d
-            out += term
+                acc *= logx ** d
+            out += acc
         return float(out[0]) if scalar else out
 
     def coeff(self, power, logdeg=0):

@@ -23,6 +23,13 @@ switch, and above it the pair u = C0(z), v = C1(z)/z is closed under
 differentiation (u' and v' are Laurent-polynomial combinations of u, v),
 so the n-th derivative is a Laurent recurrence evaluated at kernel values.
 No numerical differentiation is used anywhere.
+
+Below the switch the series and its derivatives run the compiled Horner
+plan of ``LogPowerSeries.evaluate`` (one pass in x^2 per log degree).
+Above it the Laurent polynomials p_n, q_n are summed term by term in
+ascending powers from one table of the powers of z per call: Horner's
+rule and folding A p_u + B p_v into one polynomial both measured less
+accurate there against mpmath (jtype, where a derivative nears a zero).
 """
 
 import math
@@ -33,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import classical
-from .logseries import LogPowerSeries
+from .logseries import LogPowerSeries, _horner
 
 _EG = np.euler_gamma
 _SERIES_SWITCH = 1.0   # use the series path for z = scale*x below this
@@ -54,8 +61,8 @@ class Params:
     M: float
 
     def __post_init__(self):
-        if not (self.M > 0.0):
-            raise ValueError("M must be positive")
+        if not (0.0 < self.M < math.inf):
+            raise ValueError("M must be positive and finite")
 
     @property
     def gamma(self) -> float:
@@ -90,8 +97,8 @@ class SolutionHandle:
     def __post_init__(self):
         kind = SolutionKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if self.lam < 0.0:
-            raise ValueError("lambda must be a nonnegative real here")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError("lambda must be a finite nonnegative real here")
         if kind is SolutionKind.ytype and self.lam == 0.0:
             raise ValueError("ytype degenerates at lambda = 0")
 
@@ -169,31 +176,36 @@ def ktype_scale_series(a: float, M: float, nterms: int = _SERIES_TERMS) -> LogPo
     return LogPowerSeries(terms)
 
 
-def _jtype_coeffs(lam: float, M: float, nterms: int):
-    """Coefficients of x^0, x^2, ..., x^(2 nterms - 2) in the jtype series."""
-    mq = M * (lam / 2.0) ** 2
-    return [(-1.0) ** k * (lam * lam / 4.0) ** k / math.factorial(k) ** 2
-            * (1.0 + mq * k / (k + 1.0)) for k in range(nterms)]
+def _jtype_coeffs(lams, M: float, nterms: int):
+    """Coefficients of x^0, x^2, ..., x^(2 nterms - 2) in the jtype series,
+    one row per lam: t_k ((k + 1) + k M q) / (k + 1), q = lam^2/4, with
+    t_0 = 1 and t_k / t_(k-1) = -q / k^2.  Formed in long double and
+    rounded once, so within about half an ulp where long double is wider
+    than double (the 80-bit format on x86-64)."""
+    q = np.asarray(lams, dtype=np.longdouble)[:, None] ** 2 / 4
+    k = np.arange(nterms, dtype=np.longdouble)
+    ratio = np.ones((q.shape[0], nterms), dtype=np.longdouble)
+    ratio[:, 1:] = -q / k[1:] ** 2
+    t = np.cumprod(ratio, axis=1)
+    return (t * ((k + 1) + k * (np.longdouble(M) * q)) / (k + 1)).astype(float)
 
 
 @lru_cache(maxsize=512)
 def _series_cached(kind: SolutionKind, lam: float, M: float, nterms: int):
-    params = Params(M)
     mq = M * (lam / 2.0) ** 2
     d = 1.0 + mq
     terms = {}
     if kind is SolutionKind.jtype:
-        for k, c in enumerate(_jtype_coeffs(lam, M, nterms)):
-            terms[(2 * k, 0)] = c
+        for k, c in enumerate(_jtype_coeffs([lam], M, nterms)[0]):
+            terms[(2 * k, 0)] = float(c)
     elif kind is SolutionKind.itype:
         c2 = lam * lam + 8.0 / M
         for k in range(nterms):
             base = (c2 / 4.0) ** k / math.factorial(k) ** 2
-            coeff = base * (-d + (mq + 2.0) / (k + 1.0))
+            # -d + (mq + 2)/(k + 1), without the cancellation of that form
+            coeff = base * ((1.0 - k) - k * mq) / (k + 1.0)
             if coeff != 0.0:
-                terms[(2 * k, 0)] = coeff
-        terms.setdefault((0, 0), 0.0)
-        terms[(0, 0)] = 1.0  # exact limit value
+                terms[(2 * k, 0)] = coeff  # k = 0: exactly 1, the value at 0
     elif kind is SolutionKind.ktype:
         return ktype_scale_series(math.sqrt(lam * lam + 8.0 / M), M, nterms)
     else:  # ytype
@@ -229,48 +241,34 @@ def series_radius(handle: SolutionHandle) -> float:
 # ---------------------------------------------------------------------------
 # direct path and derivative recurrence
 
-def _laurent_eval(poly, z):
-    out = np.zeros_like(z)
-    for e, c in poly.items():
-        out = out + c * z ** e
-    return out
-
-
-def _laurent_diff(poly):
-    return {e - 1: c * e for e, c in poly.items() if e != 0}
-
-
-def _laurent_shift(poly, m):
-    return {e + m: c for e, c in poly.items()}
-
-
-def _laurent_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0.0) + c
-    return {e: c for e, c in out.items() if c != 0.0}
-
-
 @lru_cache(maxsize=512)
 def _deriv_polys(kind: SolutionKind, order: int):
     """(p_n, q_n) with d^n/dz^n [A u + B v] = p_n u + q_n v, A/B folded later.
 
-    Returns two tuples of Laurent dicts, for the pure-u and pure-v seeds.
+    u = C0(z) and v = C1(z)/z obey u' = su z v and v' = sv u/z - 2 v/z, so
+    p_(n+1) = p_n' + sv q_n/z and q_(n+1) = q_n' - 2 q_n/z + su z p_n, run
+    on coefficient arrays over the powers -order..1.  Returns (ps, qs) for
+    the pure-u and the pure-v seed: per n, the ascending (power, coeff)
+    terms.
     """
     su, sv = _SIGNS[kind]
-    seeds = [({0: 1.0}, {}), ({}, {0: 1.0})]
+    e = np.arange(-order, 2.0)
     out = []
-    for p0, q0 in seeds:
-        ps, qs = [p0], [q0]
+    for seed in (0, 1):
+        p, q = np.zeros(e.size), np.zeros(e.size)
+        (q if seed else p)[order] = 1.0
+        ps, qs = [p], [q]
         for _ in range(order):
-            p, q = ps[-1], qs[-1]
-            pn = _laurent_add(_laurent_diff(p), _laurent_shift({e: sv * c for e, c in q.items()}, -1))
-            qn = _laurent_add(_laurent_diff(q), _laurent_shift({e: -2.0 * c for e, c in q.items()}, -1))
-            qn = _laurent_add(qn, _laurent_shift({e: su * c for e, c in p.items()}, 1))
-            ps.append(pn)
-            qs.append(qn)
-        out.append((tuple(map(tuple, (sorted(d.items()) for d in ps))),
-                    tuple(map(tuple, (sorted(d.items()) for d in qs)))))
+            pn, qn = np.zeros(e.size), np.zeros(e.size)
+            # d/dz and 1/z move a coefficient one power down, z one power up
+            pn[:-1] = (e * p + sv * q)[1:]
+            qn[:-1] = ((e - 2.0) * q)[1:]
+            qn[1:] += su * p[:-1]
+            p, q = pn, qn
+            ps.append(p)
+            qs.append(q)
+        out.append(tuple(tuple(tuple((int(e[k]), float(c[k])) for k in np.flatnonzero(c))
+                               for c in seq) for seq in (ps, qs)))
     return out
 
 
@@ -292,11 +290,16 @@ def _direct_derivs_scaled(kind, a, A, B, x, max_order):
     c0, c1 = _KERNELS[kind]
     u = c0(z)
     v = c1(z) / z
+    powers = {e: z ** e for e in range(-max_order, 2)}
+
+    def laurent(terms):  # ascending powers, each read from the table
+        return sum(c * powers[e] for e, c in terms)
+
     (pu, qu), (pv, qv) = _deriv_polys(kind, max_order)
     rows = []
     for n in range(max_order + 1):
-        pn = A * _laurent_eval(dict(pu[n]), z) + B * _laurent_eval(dict(pv[n]), z)
-        qn = A * _laurent_eval(dict(qu[n]), z) + B * _laurent_eval(dict(qv[n]), z)
+        pn = A * laurent(pu[n]) + B * laurent(pv[n])
+        qn = A * laurent(qu[n]) + B * laurent(qv[n])
         rows.append(a ** n * (pn * u + qn * v))
     return np.vstack(rows)
 
@@ -340,12 +343,12 @@ def eval_solution(handle: SolutionHandle, x):
 def eval_jtype_outer(lams, xs, params: Params):
     """J_lam(x) on the outer grid lams[:, None] * xs[None, :].
 
-    Each entry takes the same path as ``eval_solution`` on the handle
-    (jtype, lam): the series below the switch, A*J0(z) + B*J1(z)/z above
-    it.  All direct-path points share one J0 and one J1 call.  The series
-    coefficients come from ``_jtype_coeffs`` directly, not through the
-    ``_series_cached`` memo, which a stream of distinct quadrature lams
-    would only churn.
+    Each entry takes the same path and arithmetic as ``eval_solution`` on
+    the handle (jtype, lam): below the switch, Horner in x^2 on the series
+    coefficients, which one ``_jtype_coeffs`` call builds for every lam
+    that needs them (the ``_series_cached`` memo would only churn on a
+    stream of quadrature lams); above it, A*J0(z) + B*J1(z)/z with one J0
+    and one J1 call.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -358,17 +361,9 @@ def eval_jtype_outer(lams, xs, params: Params):
     small = z < _SERIES_SWITCH
     if np.any(small):
         rows, cols = np.nonzero(small)
-        need = np.unique(rows)
-        coef = np.zeros((lams.size, _SERIES_TERMS))
-        for i in need:
-            coef[i] = _jtype_coeffs(float(lams[i]), float(params.M),
-                                    _SERIES_TERMS)
-        xv = xs[cols]
-        # ascending powers, the summation order of LogPowerSeries.evaluate
-        acc = coef[rows, 0].copy()
-        for k in range(1, _SERIES_TERMS):
-            acc += coef[rows, k] * xv ** (2 * k)
-        out[small] = acc
+        need, row_of = np.unique(rows, return_inverse=True)
+        coef = _jtype_coeffs(lams[need], float(params.M), _SERIES_TERMS)
+        out[small] = _horner(np.take(coef.T, row_of, axis=1), xs[cols] ** 2)
     big = ~small
     if np.any(big):
         rows = np.nonzero(big)[0]

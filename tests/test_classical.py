@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -191,3 +192,12 @@ def test_kind_validation():
         BesselKind("Q", 0)
     with pytest.raises(ValueError):
         BesselKind("J", 2)
+
+
+def test_jy_at_infinity_is_zero_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (cb.j0, cb.j1, cb.y0, cb.y1):
+            assert fn(np.inf) == 0.0
+            vals = fn(np.array([20.0, np.inf]))
+            assert vals[1] == 0.0 and vals[0] == fn(20.0)

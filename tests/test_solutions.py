@@ -1,5 +1,9 @@
 """The fourth-order solution family: maps, values, derivatives, series."""
 
+import importlib.util
+import pathlib
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -32,6 +36,18 @@ def test_params_invariants():
         Params(0.0)
     with pytest.raises(ValueError):
         Params(-1.0)
+
+
+def test_params_reject_infinite_M():
+    with pytest.raises(ValueError):
+        Params(np.inf)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_handle_rejects_nonfinite_lambda(lam):
+    for kind in SolutionKind:
+        with pytest.raises(ValueError):
+            SolutionHandle(kind, lam, Params(1.0))
 
 
 @pytest.mark.parametrize("kind", ["jtype", "itype"])
@@ -155,3 +171,98 @@ def test_ktype_scale_series_matches_handle_series():
     s2 = S.ktype_scale_series(c, M)
     for key, v in s1.items():
         assert s2.coeff(*key) == pytest.approx(v, rel=1e-12, abs=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# derivatives 0..4 against 40-digit mpmath, both sides of the series switch
+
+_MP_FAMILY = {"jtype": mp.besselj, "ytype": mp.bessely,
+              "itype": mp.besseli, "ktype": mp.besselk}
+
+
+def _mp_kernel_derivs(kind, z, n):
+    """{nu: [C_nu^(k)(z) for k in 0..n]} for nu = 0, 1 (DLMF 10.6.7, 10.29.5)."""
+    cm = {m: _MP_FAMILY[kind](m, z) for m in range(-n, n + 2)}
+    out = {}
+    for nu in (0, 1):
+        rows = []
+        for k in range(n + 1):
+            s = mp.mpf(0)
+            for j in range(k + 1):
+                sign = -1 if kind in ("jtype", "ytype") and j % 2 else 1
+                s += sign * mp.binomial(k, j) * cm[nu - k + 2 * j]
+            rows.append(s / (-2 if kind == "ktype" else 2) ** k)
+        out[nu] = rows
+    return out
+
+
+def _mp_solution_derivs(kind, lam, M, x, n=4):
+    """Derivatives 0..n of the closed form (module docstring) at x."""
+    lam, M, x = mp.mpf(lam), mp.mpf(M), mp.mpf(x)
+    mq = M * (lam / 2) ** 2
+    if kind in ("jtype", "ytype"):
+        a, A, B = lam, 1 + mq, -2 * mq
+    else:
+        a = mp.sqrt(lam ** 2 + 8 / M)
+        A, B = (-(1 + mq) if kind == "itype" else 1 + mq), a * a * M / 2
+    z = a * x
+    kd = _mp_kernel_derivs(kind, z, n)
+    out = []
+    for k in range(n + 1):
+        # (C1(z)/z)^(k) by Leibniz, with (1/z)^(m) = (-1)^m m! / z^(m+1)
+        v = sum(mp.binomial(k, i) * kd[1][i] * (-1) ** (k - i)
+                * mp.factorial(k - i) / z ** (k - i + 1) for i in range(k + 1))
+        out.append(a ** k * (A * kd[0][k] + B * v))
+    return out
+
+
+_Z_BELOW = (1e-3, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.999)
+_Z_ABOVE = (1.0, 1.001, 1.05, 1.3)
+# bounds on the worst relative error of derivatives 0..4 over 6 seeded
+# (lam, M) per kind, (series side, direct side): about twice the errors
+# measured when these tests were added, (4.4e-16, 8.5e-14) for jtype,
+# (3.0e-15, 2.9e-15) ytype, (2.4e-15, 6.8e-13) itype, (6.4e-16, 7.5e-16) ktype
+_MP_BOUNDS = {"jtype": (1e-15, 2e-13), "ytype": (6e-15, 6e-15),
+              "itype": (5e-15, 1.4e-12), "ktype": (1.3e-15, 1.5e-15)}
+
+
+@pytest.mark.parametrize("kind", ["jtype", "ytype", "itype", "ktype"])
+def test_derivatives_match_mpmath_across_switch(kind):
+    rng = np.random.default_rng(2026)
+    zs = np.array(_Z_BELOW + _Z_ABOVE)
+    worst = np.zeros(len(zs))
+    for _ in range(6):
+        lam, M = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
+        h = SolutionHandle(kind, lam, Params(M))
+        a, _, _ = S._structure(h.kind, lam, h.params)
+        xs = zs / a
+        got = eval_solution_derivs(h, xs, 4)
+        with mp.workdps(40):
+            for j, x in enumerate(xs):
+                ref = _mp_solution_derivs(kind, lam, M, x)
+                err = max(float(abs((mp.mpf(float(got[n, j])) - ref[n]) / ref[n]))
+                          for n in range(5))
+                worst[j] = max(worst[j], err)
+    below, above = worst[:len(_Z_BELOW)].max(), worst[len(_Z_BELOW):].max()
+    bound_below, bound_above = _MP_BOUNDS[kind]
+    assert below <= bound_below, below
+    assert above <= bound_above, above
+
+
+def test_series_cost_tool_runs_at_small_size(capsys):
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "series_cost.py"
+    spec = importlib.util.spec_from_file_location("series_cost", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for kind in SolutionKind:
+        h = SolutionHandle(kind, tool.LAM, Params(tool.M))
+        a, _, _ = S._structure(h.kind, h.lam, h.params)
+        assert np.all(a * tool.grid(h, "series", 64) < 1.0)
+        assert np.all(a * tool.grid(h, "direct", 64) >= 1.0)
+    tool.main(["64"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    for kind, line in zip(SolutionKind, lines[2:]):
+        cells = line.split()
+        assert cells[0] == kind.value and len(cells) == 5
+        assert all(float(c) > 0.0 for c in cells[1:])
