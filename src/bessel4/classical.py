@@ -10,10 +10,11 @@ Region layout, validated against 40-digit mpmath references:
   up to ~1e-13 of the envelope sqrt(2/(pi x)), worst for y0 near 8).  For
   x >= 8 one modulus-phase form, J = sqrt(2/(pi x)) (P cos w - Q sin w)
   and Y = sqrt(2/(pi x)) (P sin w + Q cos w) with w = x - (2 nu + 1) pi/4,
-  where P and Q come from Chebyshev tables in 1/x on [8, 17) and from the
-  Hankel expansion beyond, and cos w, sin w are built from cos x, sin x of
-  the exact x.  Against 40-digit mpmath its error stays below 6e-16 of the
-  envelope from 8 to at least 1.3e5.
+  where P and x Q are power series in 1/x^2 and come from one Chebyshev
+  table each, of degree 12 in t = 128/x^2 - 1 (which maps [8, inf) onto
+  (-1, 1]), and cos w, sin w are built from cos x, sin x of the exact x.
+  Against 40-digit mpmath its error stays below 4.3e-16 of the envelope
+  from 8 to 1e9.  ``j01`` and ``y01`` return both orders from one pass.
 * I family: all-positive series (condition number 1) up to x = 30,
   large-argument expansion beyond, overflow signalled past x = 705.
 * K family: logarithmic series up to x = 2, trapezoid rule on
@@ -29,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_OSC_SWITCH = 17.0   # J/Y P, Q: Chebyshev tables <-> Hankel expansion
 _OSC_PLAIN = 8.0     # J/Y series <-> modulus-phase form; below this the
                      # series cancellation is mild enough (condition
                      # number < ~1e3) for plain float64
+_PQ_BLOCK = 8192     # points per pass of the J/Y amplitude recurrence
 _I_SWITCH = 30.0     # I series <-> asymptotic
 _K_SERIES_MAX = 2.0  # K log-series above this -> cosh integral
 _K_ASYM_MIN = 20.0   # K cosh integral above this -> asymptotic
@@ -152,97 +153,93 @@ _AK0 = _ak_table(0, 30)
 _AK1 = _ak_table(1, 30)
 
 
-def _asym_pq(x, nu, kmax=13):
-    a = _AK0 if nu == 0 else _AK1
-    w = 1.0 / (x * x)
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
-    for k in range(kmax, -1, -1):
-        sign = 1.0 if k % 2 == 0 else -1.0
-        p = p * w + sign * a[2 * k]
-        q = q * w + sign * a[2 * k + 1]
-    return p, q / x
-
-
-# Chebyshev coefficients of P and Q on [8, 17) in u = (272/x - 25)/9, which
-# maps x = 8 to 1 and x = 17 to -1; printed by tools/gen_jy_tables.py from
-# 40-digit mpmath values.
+# Chebyshev coefficients of the modulus-phase amplitudes P0, x Q0, P1, x Q1
+# on [8, inf) in t = 128/x^2 - 1, which maps x = 8 to 1 and x -> inf to -1;
+# printed by tools/gen_jy_tables.py from 40-digit mpmath values.
 _P0_CHEB = (
-    0.9993780607924774, -0.0004158918828121599, -3.563171180561891e-05,
-    3.0641256503356833e-07, 9.113671151533628e-09, -3.900443264602596e-10,
-    1.82715851827781e-12, 4.752549957083253e-13, -2.440406016464322e-14,
-    2.3867002523249066e-16, 4.893703686662478e-17, -4.0097510385673196e-18,
-    1.322639691536098e-19,
+    0.9994603493475187, -0.0005365220468132117, 3.0751847875194745e-06,
+    -5.1705945376060975e-08, 1.6306464635151382e-09, -7.86409137723707e-11,
+    5.168262387349193e-12, -4.3045788699253914e-13, 4.3265957431549404e-14,
+    -5.069034095935236e-15, 6.748072215733873e-16, -1.0011513723467786e-16,
+    1.6305919233744186e-17,
 )
-_Q0_CHEB = (
-    -0.01142333780396027, -0.004075521736177065, 1.015693655136548e-05,
-    5.197179081420954e-07, -1.0569851233740858e-08, -1.2970244864210732e-10,
-    1.4362594133522799e-11, -3.4284239340245394e-13, -1.0377255662386703e-14,
-    1.2937216973893865e-15, -5.0748295436955174e-17, -4.548676099378012e-19,
-    2.057030714492082e-19,
+_XQ0_CHEB = (
+    -0.12444683684269607, 0.0005470815954089319, -5.9315987288485175e-06,
+    1.4377965798375193e-07, -5.817532749493056e-09, 3.376097523734991e-10,
+    -2.565397936797308e-11, 2.404916100281365e-12, -2.6690625482579414e-13,
+    3.4041800321963686e-14, -4.87994410531204e-15, 7.729703176242605e-16,
+    -1.3348852171502517e-16,
 )
 _P1_CHEB = (
-    1.0010405166644667, 0.0006975545743572447, 6.0444283556685374e-05,
-    -4.0021030042363414e-07, -1.2388462261496365e-08, 4.74565215930374e-10,
-    -1.5006344300821124e-12, -5.697293200732168e-13, 2.752834717173996e-14,
-    -2.1660872278077307e-16, -5.676755822868139e-17, 4.429587338397121e-18,
-    -1.3798258717842577e-19,
+    1.0009030408600137, 0.0008989898330859408, -3.987284300488908e-06,
+    6.177633960644299e-08, -1.8718907491063067e-09, 8.816898659582339e-11,
+    -5.704863640395645e-12, 4.699195515230542e-13, -4.6842237839904895e-14,
+    5.452674896044717e-15, -7.221180842274018e-16, 1.0667689114335412e-16,
+    -1.7312313216116335e-17,
 )
-_Q1_CHEB = (
-    0.03437463174532504, 0.012322881042135072, -1.4371466567823566e-05,
-    -7.511715080900478e-07, 1.3202878171618267e-08, 1.7964418473929515e-10,
-    -1.7231963647470497e-11, 3.785016302401709e-13, 1.2943471930928171e-14,
-    -1.4729828263302043e-15, 5.4837990668347246e-17, 6.581493807843432e-19,
-    -2.313735574401473e-19,
+_XQ1_CHEB = (
+    0.3742222965562826, -0.0007702178839325664, 7.3108922063643636e-06,
+    -1.676782510726674e-07, 6.583354662120443e-09, -3.749090950541556e-10,
+    2.8121750359748866e-11, -2.61145253946232e-12, 2.8774212663332235e-13,
+    -3.649001916061838e-14, 5.206626366226707e-15, -8.215318025458595e-16,
+    1.4141084390211833e-16,
 )
+_PQ_CHEB = np.array([_P0_CHEB, _XQ0_CHEB, _P1_CHEB, _XQ1_CHEB])
 
 
-def _chebyshev(coef, u):
-    """Clenshaw sum of coef[k] T_k(u)."""
-    b1 = np.zeros_like(u)
-    b2 = np.zeros_like(u)
-    u2 = 2.0 * u
-    for c in coef[:0:-1]:
-        b1, b2 = u2 * b1 - b2 + c, b1
-    return u * b1 - b2 + coef[0]
-
-
-def _cheb_pq(x, nu):
-    u = (272.0 / x - 25.0) / 9.0
-    p, q = (_P0_CHEB, _Q0_CHEB) if nu == 0 else (_P1_CHEB, _Q1_CHEB)
-    return _chebyshev(p, u), _chebyshev(q, u)
+def _amplitudes(x, rows):
+    """The amplitudes of ``rows`` (indices into _PQ_CHEB) at x >= 8, one per
+    leading row.  One Clenshaw pass serves all rows, in place on four
+    buffers; it runs over blocks of points that keep them in cache."""
+    m = len(rows)
+    coef = _PQ_CHEB[rows, :, None]
+    flat = x.ravel()
+    out = np.empty((m, flat.size))
+    for lo in range(0, flat.size, _PQ_BLOCK):
+        v = flat[lo:lo + _PQ_BLOCK]
+        t2 = np.tile(256.0 / (v * v) - 2.0, (m, 1))  # 2t, exactly
+        b1 = np.repeat(coef[:, -1], v.size, axis=1)
+        b2 = np.zeros_like(t2)
+        tmp = np.empty_like(t2)
+        for k in range(coef.shape[1] - 2, 0, -1):
+            np.multiply(b1, t2, out=tmp)
+            tmp -= b2
+            tmp += coef[:, k]
+            b1, b2, tmp = tmp, b1, b2
+        t2 *= 0.5
+        np.multiply(b1, t2, out=tmp)
+        tmp -= b2
+        np.add(tmp, coef[:, 0], out=out[:, lo:lo + _PQ_BLOCK])
+    return out.reshape((m,) + x.shape)
 
 
 def _pq01(z):
-    """(P0, Q0, P1, Q1) at z >= 8 from the same tables as the J/Y kernels:
-    Chebyshev on [8, 17), the Hankel expansion beyond."""
+    """(P0, Q0, P1, Q1) at z >= 8 from the table of the J/Y kernels."""
     z = np.asarray(z, dtype=float)
-    out = [np.empty_like(z) for _ in range(4)]
-    band = z < _OSC_SWITCH
-    for mask, pq in ((band, _cheb_pq), (~band, _asym_pq)):
-        if np.any(mask):
-            v = z[mask]
-            for o, val in zip(out, pq(v, 0) + pq(v, 1)):
-                o[mask] = val
-    return tuple(out)
+    p0, xq0, p1, xq1 = _amplitudes(z, [0, 1, 2, 3])
+    return p0, xq0 / z, p1, xq1 / z
 
 
-def _jy_modphase(x, nu, kind, pq):
-    """J_nu or Y_nu = sqrt(2/(pi x)) times the P, Q combination at phase w.
+def _jy_modphase(x, kind, orders):
+    """J_nu or Y_nu for each nu in ``orders`` at x >= 8, as
+    sqrt(2/(pi x)) times the P, Q combination at phase w.
 
     w = x - (2 nu + 1) pi/4 is never rounded: sqrt(2) cos w and sqrt(2) sin w
     come from cos x and sin x of the exact double x, which keeps the phase
-    error at the rounding of cos and sin however large x is.
+    error at the rounding of cos and sin however large x is.  One sqrt, cos
+    and sin per point serve every order.
     """
-    p, q = pq(x, nu)
+    pq = _amplitudes(x, [r for nu in orders for r in (2 * nu, 2 * nu + 1)])
     c, s = np.cos(x), np.sin(x)
     c, s = c + s, s - c  # now sqrt(2) cos w, sqrt(2) sin w for w = x - pi/4
-    if nu == 1:          # w = x - 3 pi/4, one quarter turn further
-        c, s = s, -c
     amp = 1.0 / np.sqrt(np.pi * x)
-    if kind == "J":
-        return amp * (p * c - q * s)
-    return amp * (p * s + q * c)
+    out = []
+    for p, xq, nu in zip(pq[::2], pq[1::2], orders):
+        q = xq / x
+        cw, sw = (c, s) if nu == 0 else (s, -c)  # nu = 1: a quarter turn on
+        out.append(amp * (p * cw - q * sw) if kind == "J"
+                   else amp * (p * sw + q * cw))
+    return out
 
 
 def _i_asym(x, nu, kmax=25):
@@ -320,90 +317,99 @@ _JY_SERIES = {
 }
 
 
-def _jy(x, nu, kind):
+def _jy(x, kind, orders):
+    """The tuple of C_nu(x) for nu in orders, C = J or Y: the series below 8,
+    the modulus-phase form from 8 on, and the limit 0 at +inf (cos and sin
+    of inf are nan).  Every order shares the one mask and modulus-phase
+    pass."""
     x, scalar = _prepare(x, strict_positive=kind == "Y")
+    out = np.empty((len(orders),) + x.shape)
     tiny = x < _OSC_PLAIN
-    mid = ~tiny & (x < _OSC_SWITCH)
-    far = x == np.inf  # the limit 0; cos and sin of inf are nan
+    far = x == np.inf
+    osc = ~tiny & ~far
+    if np.any(tiny):
+        v = x[tiny]
+        for row, nu in zip(out, orders):
+            row[tiny] = _JY_SERIES[(kind, nu)](v)
+    if np.any(osc):
+        for row, val in zip(out, _jy_modphase(x[osc], kind, orders)):
+            row[osc] = val
+    out[:, far] = 0.0
+    return tuple(_finish(row, scalar) for row in out)
+
+
+def _i(x, nu):
+    x, scalar = _prepare(x, strict_positive=False)
+    if np.any(x > _I_OVERFLOW):
+        raise OverflowError(f"i{nu} overflows double precision for x > 705")
+    small = x < _I_SWITCH
     out = _piecewise(x, [
-        (tiny, _JY_SERIES[(kind, nu)]),
-        (mid, lambda v: _jy_modphase(v, nu, kind, _cheb_pq)),
-        (~tiny & ~mid & ~far, lambda v: _jy_modphase(v, nu, kind, _asym_pq)),
-        (far, np.zeros_like),
+        (small, lambda v: _i_series(v, nu)),
+        (~small, lambda v: _i_asym(v, nu)),
+    ])
+    return _finish(out, scalar)
+
+
+def _k(x, nu):
+    x, scalar = _prepare(x, strict_positive=True)
+    lo = x <= _K_SERIES_MAX
+    hi = x >= _K_ASYM_MIN
+    out = _piecewise(x, [
+        (lo, lambda v: _k_series(v, nu)),
+        (~lo & ~hi, lambda v: _k_cosh_rule(v, nu)),
+        (hi, lambda v: _k_asym(v, nu)),
     ])
     return _finish(out, scalar)
 
 
 def j0(x):
     """Bessel function of the first kind, order 0."""
-    return _jy(x, 0, "J")
+    return _jy(x, "J", (0,))[0]
 
 
 def j1(x):
     """Bessel function of the first kind, order 1."""
-    return _jy(x, 1, "J")
+    return _jy(x, "J", (1,))[0]
+
+
+def j01(x):
+    """(J0(x), J1(x)) from one pass, equal bit for bit to (j0(x), j1(x))."""
+    return _jy(x, "J", (0, 1))
 
 
 def y0(x):
     """Bessel function of the second kind, order 0 (x > 0)."""
-    return _jy(x, 0, "Y")
+    return _jy(x, "Y", (0,))[0]
 
 
 def y1(x):
     """Bessel function of the second kind, order 1 (x > 0)."""
-    return _jy(x, 1, "Y")
+    return _jy(x, "Y", (1,))[0]
+
+
+def y01(x):
+    """(Y0(x), Y1(x)) from one pass, equal bit for bit to (y0(x), y1(x))."""
+    return _jy(x, "Y", (0, 1))
 
 
 def i0(x):
     """Modified Bessel function of the first kind, order 0."""
-    x, scalar = _prepare(x, strict_positive=False)
-    if np.any(x > _I_OVERFLOW):
-        raise OverflowError("i0 overflows double precision for x > 705")
-    small = x < _I_SWITCH
-    out = _piecewise(x, [
-        (small, lambda v: _i_series(v, 0)),
-        (~small, lambda v: _i_asym(v, 0)),
-    ])
-    return _finish(out, scalar)
+    return _i(x, 0)
 
 
 def i1(x):
     """Modified Bessel function of the first kind, order 1."""
-    x, scalar = _prepare(x, strict_positive=False)
-    if np.any(x > _I_OVERFLOW):
-        raise OverflowError("i1 overflows double precision for x > 705")
-    small = x < _I_SWITCH
-    out = _piecewise(x, [
-        (small, lambda v: _i_series(v, 1)),
-        (~small, lambda v: _i_asym(v, 1)),
-    ])
-    return _finish(out, scalar)
+    return _i(x, 1)
 
 
 def k0(x):
     """Modified Bessel function of the second kind, order 0 (x > 0)."""
-    x, scalar = _prepare(x, strict_positive=True)
-    lo = x <= _K_SERIES_MAX
-    hi = x >= _K_ASYM_MIN
-    out = _piecewise(x, [
-        (lo, lambda v: _k_series(v, 0)),
-        (~lo & ~hi, lambda v: _k_cosh_rule(v, 0)),
-        (hi, lambda v: _k_asym(v, 0)),
-    ])
-    return _finish(out, scalar)
+    return _k(x, 0)
 
 
 def k1(x):
     """Modified Bessel function of the second kind, order 1 (x > 0)."""
-    x, scalar = _prepare(x, strict_positive=True)
-    lo = x <= _K_SERIES_MAX
-    hi = x >= _K_ASYM_MIN
-    out = _piecewise(x, [
-        (lo, lambda v: _k_series(v, 1)),
-        (~lo & ~hi, lambda v: _k_cosh_rule(v, 1)),
-        (hi, lambda v: _k_asym(v, 1)),
-    ])
-    return _finish(out, scalar)
+    return _k(x, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +437,13 @@ _EVAL = {
 }
 
 
+# x -> (C0(x), C1(x)) per family
+_PAIRS = {
+    "J": j01, "Y": y01,
+    "I": lambda x: (i0(x), i1(x)), "K": lambda x: (k0(x), k1(x)),
+}
+
+
 def eval_bessel(kind: BesselKind, x):
     """Evaluate the kernel named by ``kind`` at ``x``."""
     return _EVAL[(kind.family, kind.order)](x)
@@ -444,34 +457,12 @@ def eval_bessel_derivative(kind: BesselKind, x):
     """
     fam, order = kind.family, kind.order
     if order == 0:
-        if fam == "J":
-            return -j1(x)
-        if fam == "Y":
-            return -y1(x)
-        if fam == "I":
-            return i1(x)
-        return -k1(x)
-    # order 1: the x = 0 limit of C1/x is 1/2 for J and I
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    if fam in ("J", "I"):
-        zero = arr == 0.0
-        out = np.empty_like(arr)
-        if np.any(zero):
-            out[zero] = 0.5
-        pos = ~zero
-        if np.any(pos):
-            v = arr[pos]
-            if fam == "J":
-                out[pos] = j0(v) - j1(v) / v
-            else:
-                out[pos] = i0(v) - i1(v) / v
-        return _finish(out, scalar)
-    if fam == "Y":
-        v = arr
-        out = y0(v) - y1(v) / v
-        return _finish(np.atleast_1d(out), scalar)
-    v = arr
-    out = -k0(v) - k1(v) / v
-    return _finish(np.atleast_1d(out), scalar)
+        return (1.0 if fam == "I" else -1.0) * _EVAL[(fam, 1)](x)
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.full_like(arr, 0.5)  # the x = 0 limit of C1/x for J and I
+    pos = arr != 0.0 if fam in ("J", "I") else np.ones(arr.shape, bool)
+    if np.any(pos):
+        v = arr[pos]
+        c0, c1 = _PAIRS[fam](v)
+        out[pos] = (-c0 if fam == "K" else c0) - c1 / v
+    return _finish(out, np.ndim(x) == 0)

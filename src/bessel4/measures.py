@@ -10,6 +10,7 @@ Three instances drive everything here:
   frequency side.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -38,16 +39,16 @@ def lebesgue_x() -> AtomDensityMeasure:
 
 def jump_measure(k: float) -> AtomDensityMeasure:
     """Weight x on (0, inf) plus a point mass k at the origin."""
-    if k <= 0.0:
-        raise ValueError("the jump size k must be positive")
+    if not (0.0 < k < math.inf):
+        raise ValueError("the jump size k must be positive and finite")
     return AtomDensityMeasure(float(k), lambda x: np.asarray(x, dtype=float),
                               label=f"mk({k})")
 
 
 def spectral_measure(M: float) -> AtomDensityMeasure:
     """Density lam*(1 + M (lam/2)^2)^(-2); total mass is exactly 2/M."""
-    if M <= 0.0:
-        raise ValueError("M must be positive")
+    if not (0.0 < M < math.inf):
+        raise ValueError("M must be positive and finite")
 
     def density(lam):
         lam = np.asarray(lam, dtype=float)

@@ -58,7 +58,7 @@ def _panel_pair(f, a, b):
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     nodes = np.concatenate([mid + half * x10, mid + half * x20])
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.asarray(f(nodes), dtype=float)
+        vals = _values(f, nodes)
         coarse = half * np.dot(w10, vals[:10])
         fine = half * np.dot(w20, vals[10:])
     if not (np.isfinite(coarse) and np.isfinite(fine)):
@@ -66,19 +66,11 @@ def _panel_pair(f, a, b):
     return coarse, fine
 
 
-def _vectorize_if_needed(f):
-    probe = np.array([0.5, 0.25])
-    try:
-        out = np.asarray(f(probe), dtype=float)
-        if out.shape == probe.shape:
-            return f
-    except Exception:
-        pass
-    return lambda xs: np.array([f(float(x)) for x in np.atleast_1d(xs)])
-
-
 def adaptive_quad(f, a, b, tol=1e-8, singular=(), max_panels=4000):
     """Integrate f over [a, b] to absolute accuracy ~tol.
+
+    f is called on arrays of nodes inside [a, b] and must return an array
+    of values of the same shape.
 
     ``singular`` may contain "left" and/or "right" to flag integrable
     endpoint singularities; those ends are regularized with the map
@@ -92,7 +84,6 @@ def adaptive_quad(f, a, b, tol=1e-8, singular=(), max_panels=4000):
     if b < a:
         r = adaptive_quad(f, b, a, tol, singular, max_panels)
         return QuadResult(-r.value, r.error, r.converged, r.neval)
-    f = _vectorize_if_needed(f)
     if "left" in singular and "right" in singular:
         mid = 0.5 * (a + b)
         r1 = adaptive_quad(f, a, mid, tol / 2, ("left",), max_panels // 2)
@@ -103,19 +94,25 @@ def adaptive_quad(f, a, b, tol=1e-8, singular=(), max_panels=4000):
         w = (b - a) ** (1.0 / 3.0)
         def g(u):
             u = np.asarray(u)
-            return np.where(u > 0.0, 3.0 * u * u * _safe(f, a + u ** 3), 0.0)
+            return np.where(u > 0.0, 3.0 * u * u * _values(f, a + u ** 3), 0.0)
         return _adaptive_core(g, 0.0, w, tol, max_panels)
     if "right" in singular:
         w = (b - a) ** (1.0 / 3.0)
         def g(u):
             u = np.asarray(u)
-            return np.where(u > 0.0, 3.0 * u * u * _safe(f, b - u ** 3), 0.0)
+            return np.where(u > 0.0, 3.0 * u * u * _values(f, b - u ** 3), 0.0)
         return _adaptive_core(g, 0.0, w, tol, max_panels)
     return _adaptive_core(f, a, b, tol, max_panels)
 
 
-def _safe(f, x):
-    return np.asarray(f(np.asarray(x)), dtype=float)
+def _values(f, x):
+    """f at the array x; every integrand maps an array of nodes to an array
+    of values of the same shape, anything else raises ValueError."""
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape != np.shape(x):
+        raise ValueError("the integrand must map an array of nodes to an "
+                         "array of values of the same shape")
+    return vals
 
 
 def _adaptive_core(f, a, b, tol, max_panels):
@@ -211,7 +208,6 @@ def oscillatory_semi_infinite(f, zero_spacing_hint, tol=1e-6, start=None,
     if h <= 0.0:
         raise ValueError("zero_spacing_hint must be positive")
     x0 = h if start is None else float(start)
-    f = _vectorize_if_needed(f)
     head = adaptive_quad(f, 0.0, x0, tol=(head_tol or tol * 0.05))
     xg, wg = _gauss(16)
     sums = []
@@ -223,7 +219,7 @@ def oscillatory_semi_infinite(f, zero_spacing_hint, tol=1e-6, start=None,
         lo = x0 + h * (k + np.arange(chunk))
         mids = lo + 0.5 * h
         nodes = (mids[:, None] + 0.5 * h * xg[None, :]).ravel()
-        vals = np.asarray(f(nodes), dtype=float).reshape(chunk, -1)
+        vals = _values(f, nodes).reshape(chunk, -1)
         segs = 0.5 * h * vals.dot(wg)
         for s in segs:
             total += s

@@ -146,7 +146,7 @@ def _origin(pair: _Pair, f, f0):
 # the Gauss head up to _FILON_BEND they grow geometrically by at most
 # _FILON_RATIO, beyond it they are uniform and at most _FILON_WIDTH wide,
 # so every panel's centre lies at least 5 half-widths from the origin,
-# where the amplitude's sqrt(x) and the Hankel expansion's 1/x are
+# where the amplitude's sqrt(x) and the 1/x^2 of P and Q are
 # singular.  Panels where the fit of x f misses _FILON_FIT_TOL are
 # bisected down to _FILON_MIN_HALF (see ``_fit_panels``).
 _FILON_WIDTH = 0.75
@@ -659,8 +659,9 @@ def ortho_kernel_classical(lmb, mu, X, method="closed"):
     lmb_arr = np.atleast_1d(np.asarray(lmb, dtype=float))
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     lmb_arr, mu_arr = np.broadcast_arrays(lmb_arr, mu_arr)
-    num = X * (lmb_arr * classical.j1(lmb_arr * X) * classical.j0(mu_arr * X)
-               - mu_arr * classical.j0(lmb_arr * X) * classical.j1(mu_arr * X))
+    j0l, j1l = classical.j01(lmb_arr * X)
+    j0m, j1m = classical.j01(mu_arr * X)
+    num = X * (lmb_arr * j1l * j0m - mu_arr * j0l * j1m)
     out = lmb_arr * num / (lmb_arr ** 2 - mu_arr ** 2)
     return float(out[0]) if np.ndim(lmb) == 0 and np.ndim(mu) == 0 else out
 

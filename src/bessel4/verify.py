@@ -88,7 +88,8 @@ _TR_M_VALUES = (0.5, 1.0, 2.0)
 @check("CB-WRONSKIAN", "J0 Y0' - Y0 J0' = 2/(pi x), relative", 1e-10)
 def _wronskian():
     xs = _KERNEL_XS
-    lhs = cb.j0(xs) * (-cb.y1(xs)) - cb.y0(xs) * (-cb.j1(xs))
+    (j0, j1), (y0, y1) = cb.j01(xs), cb.y01(xs)
+    lhs = j0 * (-y1) - y0 * (-j1)
     return np.max(np.abs(lhs - 2.0 / (np.pi * xs)) / (2.0 / (np.pi * xs)))
 
 

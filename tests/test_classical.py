@@ -73,14 +73,15 @@ _MP_JY = {
     "y0": lambda x: mp.bessely(0, x), "y1": lambda x: mp.bessely(1, x),
 }
 
-# the modulus-phase regions of the J/Y kernels: the Chebyshev band [8, 17),
-# its two seams, and the Hankel expansion out to the largest lam * x the
-# transforms reach (drawn log-uniformly there)
+# the modulus-phase region of the J/Y kernels, one table from 8 on: its seam
+# with the series at 8, [8, 17) and the old Hankel seam at 17, out to the
+# largest lam * x the transforms reach and far beyond (log-uniform there)
 _JY_REGIONS = {
     "band": st.floats(8.0, 17.0, exclude_max=True),
     "seam-8": st.floats(8.0, 8.001),
     "seam-17": st.floats(16.999, 17.001),
     "hankel": st.floats(0.0, 1.0).map(lambda t: 17.0 * (1.3e5 / 17.0) ** t),
+    "far": st.floats(0.0, 1.0).map(lambda t: 1.3e5 * (1e9 / 1.3e5) ** t),
 }
 
 
@@ -105,6 +106,48 @@ def test_jy_chebyshev_tables_match_generator():
     spec.loader.exec_module(gen)
     for name, coef in gen.chebyshev_tables(digits=40).items():
         assert getattr(cb, name) == coef, name
+
+
+def test_pair_kernels_equal_single_orders():
+    xs = np.concatenate([[0.0], np.geomspace(1e-6, 1e9, 2001), [7.9999, 8.0,
+                         16.9999, 17.0001, np.inf]])
+    rng = np.random.default_rng(5)
+    xs = xs[rng.permutation(xs.size)]  # regions mixed inside the array
+    pos = xs[xs > 0.0]
+    for pair, c0, c1, x in ((cb.j01, cb.j0, cb.j1, xs), (cb.y01, cb.y0, cb.y1, pos)):
+        v0, v1 = pair(x)
+        assert np.array_equal(v0, c0(x)) and np.array_equal(v1, c1(x))
+        for t in (0.5, 8.0, 300.0, np.inf):
+            s0, s1 = pair(t)
+            assert type(s0) is float and type(s1) is float
+            assert (s0, s1) == (c0(t), c1(t))
+        grid = x[:12].reshape(3, 4)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(pair(grid), (c0(grid), c1(grid))))
+    assert cb.j01(0.0) == (1.0, 0.0)
+
+
+def test_pq01_reproduces_kernels_through_the_modulus_phase_form():
+    # the Filon forward reads P and Q from the table the kernels use: with
+    # _pq01's values the modulus-phase formula, summed exactly, gives back
+    # j0, j1, y0, y1 to their rounding
+    rng = np.random.default_rng(11)
+    z = np.concatenate([[8.0, 16.9999, 17.0001],
+                        8.0 * (1e9 / 8.0) ** rng.uniform(0.0, 1.0, 120)])
+    pq = cb._pq01(z.reshape(3, -1))
+    assert all(a.shape == (3, z.size // 3) for a in pq)
+    p0, q0, p1, q1 = (a.ravel() for a in pq)
+    with mp.workdps(30):
+        for i, x in enumerate(z):
+            xm = mp.mpf(float(x))
+            env = mp.sqrt(2 / (mp.pi * xm))
+            for nu, p, q in ((0, p0[i], q0[i]), (1, p1[i], q1[i])):
+                w = xm - (2 * nu + 1) * mp.pi / 4
+                p, q = mp.mpf(float(p)), mp.mpf(float(q))
+                j = env * (p * mp.cos(w) - q * mp.sin(w))
+                y = env * (p * mp.sin(w) + q * mp.cos(w))
+                for ref, fn in ((j, (cb.j0, cb.j1)[nu]), (y, (cb.y0, cb.y1)[nu])):
+                    assert abs(ref - fn(float(x))) <= 8e-16 * env, (nu, x)
 
 
 def test_wronskian_identity():

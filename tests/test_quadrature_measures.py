@@ -130,6 +130,42 @@ def test_measure_validation():
         spectral_measure(-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_measures_reject_nonfinite_parameters(bad):
+    with pytest.raises(ValueError):
+        spectral_measure(bad)
+    with pytest.raises(ValueError):
+        jump_measure(bad)
+
+
+def test_integrand_sees_only_arrays_inside_the_interval():
+    calls = []
+
+    def f(x):  # y0(x - 1) raises ValueError for x <= 1
+        calls.append(np.array(x, dtype=float))
+        return cb.y0(x - 1.0)
+
+    for singular in ((), ("left",), ("right",), ("left", "right")):
+        calls.clear()
+        r = adaptive_quad(f, 2.0, 3.0, tol=1e-10, singular=singular)
+        assert r.converged
+        assert r.value == pytest.approx(0.35487652652232226, abs=1e-9)
+        assert len(calls) == r.neval // 30  # one call per Gauss panel pair
+        assert all(c.ndim == 1 and np.all((c > 2.0) & (c < 3.0)) for c in calls)
+    calls.clear()
+    oscillatory_semi_infinite(lambda x: f(x + 2.0), np.pi, tol=1e-6)
+    assert calls and all(c.ndim == 1 and np.all(c > 2.0) for c in calls)
+
+
+def test_scalar_valued_integrand_raises():
+    with pytest.raises(ValueError):
+        adaptive_quad(lambda x: 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        adaptive_quad(lambda x: float(np.sum(x)), 0.0, 1.0, singular=("left",))
+    with pytest.raises(ValueError):
+        oscillatory_semi_infinite(lambda x: 0.0, 1.0)
+
+
 def test_inner_product_signals_nonconvergence():
     from bessel4.quadrature import ConvergenceError
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))

@@ -1,14 +1,15 @@
-"""Generate the Chebyshev tables of the J/Y modulus-phase functions on [8, 17).
+"""Generate the Chebyshev tables of the J/Y modulus-phase amplitudes on [8, inf).
 
 For x >= 8 the order-0 and order-1 Bessel functions are written as
 
     J_nu(x) = sqrt(2/(pi x)) (P_nu(x) cos w - Q_nu(x) sin w),
     Y_nu(x) = sqrt(2/(pi x)) (P_nu(x) sin w + Q_nu(x) cos w),
 
-with w = x - (2 nu + 1) pi/4.  P and Q are smooth and do not oscillate.  On
-[8, 17) ``bessel4.classical`` evaluates them from truncated Chebyshev series
-in u = (272/x - 25)/9, which is linear in 1/x and maps x = 8 to u = 1 and
-x = 17 to u = -1.
+with w = x - (2 nu + 1) pi/4.  P and x Q do not oscillate: both are power
+series in 1/x^2 at infinity (DLMF 10.17.3).  ``bessel4.classical`` evaluates
+the four amplitudes P0, x Q0, P1, x Q1 from truncated Chebyshev series in
+t = 128/x^2 - 1, which maps x = 8 to t = 1 and x -> inf to t -> -1, so one
+table per amplitude covers every x >= 8.
 
 This script computes the coefficients from 40-digit mpmath values of J and Y
 at Chebyshev nodes (a discrete cosine transform on NODES points, truncated
@@ -24,24 +25,24 @@ import mpmath as mp
 
 DIGITS = 40
 DEGREE = 12
-NODES = 64
-NAMES = ("_P0_CHEB", "_Q0_CHEB", "_P1_CHEB", "_Q1_CHEB")
+NODES = 48
+NAMES = ("_P0_CHEB", "_XQ0_CHEB", "_P1_CHEB", "_XQ1_CHEB")
 
 
 def modulus_phase_pq(nu, x):
-    """P_nu(x), Q_nu(x) from J and Y: P = (J cos w + Y sin w)/amp, etc."""
+    """P_nu(x), x Q_nu(x) from J and Y: P = (J cos w + Y sin w)/amp, etc."""
     w = x - (2 * nu + 1) * mp.pi / 4
     amp = mp.sqrt(2 / (mp.pi * x))
     j, y = mp.besselj(nu, x), mp.bessely(nu, x)
     c, s = mp.cos(w), mp.sin(w)
-    return (j * c + y * s) / amp, (y * c - j * s) / amp
+    return (j * c + y * s) / amp, x * (y * c - j * s) / amp
 
 
 def chebyshev_tables(digits=DIGITS, degree=DEGREE, nodes=NODES):
     """{table name: tuple of float64 coefficients, lowest degree first}."""
     with mp.workdps(digits):
         angles = [mp.pi * (k + mp.mpf(1) / 2) / nodes for k in range(nodes)]
-        xs = [272 / (9 * mp.cos(a) + 25) for a in angles]
+        xs = [mp.sqrt(128 / (1 + mp.cos(a))) for a in angles]
         tables = {}
         for nu in (0, 1):
             vals = [modulus_phase_pq(nu, x) for x in xs]
