@@ -33,7 +33,6 @@ import numpy as np
 _OSC_PLAIN = 8.0     # J/Y series <-> modulus-phase form; below this the
                      # series cancellation is mild enough (condition
                      # number < ~1e3) for plain float64
-_PQ_BLOCK = 8192     # points per pass of the J/Y amplitude recurrence
 _I_SWITCH = 30.0     # I series <-> asymptotic
 _K_SERIES_MAX = 2.0  # K log-series above this -> cosh integral
 _K_ASYM_MIN = 20.0   # K cosh integral above this -> asymptotic
@@ -190,27 +189,22 @@ _PQ_CHEB = np.array([_P0_CHEB, _XQ0_CHEB, _P1_CHEB, _XQ1_CHEB])
 def _amplitudes(x, rows):
     """The amplitudes of ``rows`` (indices into _PQ_CHEB) at x >= 8, one per
     leading row.  One Clenshaw pass serves all rows, in place on four
-    buffers; it runs over blocks of points that keep them in cache."""
-    m = len(rows)
+    buffers."""
     coef = _PQ_CHEB[rows, :, None]
-    flat = x.ravel()
-    out = np.empty((m, flat.size))
-    for lo in range(0, flat.size, _PQ_BLOCK):
-        v = flat[lo:lo + _PQ_BLOCK]
-        t2 = np.tile(256.0 / (v * v) - 2.0, (m, 1))  # 2t, exactly
-        b1 = np.repeat(coef[:, -1], v.size, axis=1)
-        b2 = np.zeros_like(t2)
-        tmp = np.empty_like(t2)
-        for k in range(coef.shape[1] - 2, 0, -1):
-            np.multiply(b1, t2, out=tmp)
-            tmp -= b2
-            tmp += coef[:, k]
-            b1, b2, tmp = tmp, b1, b2
-        t2 *= 0.5
+    t2 = np.tile(256.0 / (x.ravel() ** 2) - 2.0, (len(rows), 1))  # 2t, exactly
+    b1 = np.repeat(coef[:, -1], t2.shape[1], axis=1)
+    b2 = np.zeros_like(t2)
+    tmp = np.empty_like(t2)
+    for k in range(coef.shape[1] - 2, 0, -1):
         np.multiply(b1, t2, out=tmp)
         tmp -= b2
-        np.add(tmp, coef[:, 0], out=out[:, lo:lo + _PQ_BLOCK])
-    return out.reshape((m,) + x.shape)
+        tmp += coef[:, k]
+        b1, b2, tmp = tmp, b1, b2
+    t2 *= 0.5
+    np.multiply(b1, t2, out=tmp)
+    tmp -= b2
+    tmp += coef[:, 0]
+    return tmp.reshape((len(rows),) + x.shape)
 
 
 def _pq01(z):

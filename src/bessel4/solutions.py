@@ -110,12 +110,11 @@ class SolutionHandle:
 # ---------------------------------------------------------------------------
 # structural data per kind
 
-# z -> (C0(z), C1(z)), both orders from one call
 _KERNELS = {
-    SolutionKind.jtype: classical.j01,
-    SolutionKind.ytype: classical.y01,
-    SolutionKind.itype: classical._PAIRS["I"],
-    SolutionKind.ktype: classical._PAIRS["K"],
+    SolutionKind.jtype: (classical.j0, classical.j1),
+    SolutionKind.ytype: (classical.y0, classical.y1),
+    SolutionKind.itype: (classical.i0, classical.i1),
+    SolutionKind.ktype: (classical.k0, classical.k1),
 }
 
 # u' = su * z * v  and  v' = sv * u/z - 2 v/z for u = C0(z), v = C1(z)/z
@@ -288,8 +287,9 @@ def ktype_scale_derivs(a: float, M: float, x, max_order: int = 4):
 
 def _direct_derivs_scaled(kind, a, A, B, x, max_order):
     z = a * x
-    u, v = _KERNELS[kind](z)
-    v = v / z
+    c0, c1 = _KERNELS[kind]
+    u = c0(z)
+    v = c1(z) / z
     powers = {e: z ** e for e in range(-max_order, 2)}
 
     def laurent(terms):  # ascending powers, each read from the table
@@ -347,8 +347,8 @@ def eval_jtype_outer(lams, xs, params: Params):
     the handle (jtype, lam): below the switch, Horner in x^2 on the series
     coefficients, which one ``_jtype_coeffs`` call builds for every lam
     that needs them (the ``_series_cached`` memo would only churn on a
-    stream of quadrature lams); above it, A*J0(z) + B*J1(z)/z with one
-    ``j01`` call.
+    stream of quadrature lams); above it, A*J0(z) + B*J1(z)/z with one J0
+    and one J1 call.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
@@ -369,8 +369,8 @@ def eval_jtype_outer(lams, xs, params: Params):
         rows = np.nonzero(big)[0]
         mq = params.M * (lams / 2.0) ** 2
         zb = z[big]
-        j0, j1 = classical.j01(zb)
-        out[big] = (1.0 + mq[rows]) * j0 + (-2.0 * mq[rows]) * (j1 / zb)
+        out[big] = (1.0 + mq[rows]) * classical.j0(zb) \
+            + (-2.0 * mq[rows]) * (classical.j1(zb) / zb)
     return out
 
 

@@ -659,11 +659,11 @@ def ortho_kernel_classical(lmb, mu, X, method="closed"):
     lmb_arr = np.atleast_1d(np.asarray(lmb, dtype=float))
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     lmb_arr, mu_arr = np.broadcast_arrays(lmb_arr, mu_arr)
-    j0l, j1l = classical.j01(lmb_arr * X)
-    j0m, j1m = classical.j01(mu_arr * X)
-    num = X * (lmb_arr * j1l * j0m - mu_arr * j0l * j1m)
+    num = X * (lmb_arr * classical.j1(lmb_arr * X) * classical.j0(mu_arr * X)
+               - mu_arr * classical.j0(lmb_arr * X) * classical.j1(mu_arr * X))
     out = lmb_arr * num / (lmb_arr ** 2 - mu_arr ** 2)
-    return float(out[0]) if np.ndim(lmb) == 0 and np.ndim(mu) == 0 else out
+    scalar = np.ndim(lmb) == 0 and np.ndim(mu) == 0 and np.ndim(X) == 0
+    return float(out[0]) if scalar else out
 
 
 def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):

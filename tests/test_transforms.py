@@ -133,10 +133,18 @@ def test_classical_kernel_closed_form_vs_quadrature():
 
 def test_classical_kernel_cesaro_average_off_diagonal():
     from bessel4.quadrature import adaptive_quad
-    avg = adaptive_quad(  # lam = 1 at every X, as an array
-        lambda X: tr.ortho_kernel_classical(np.ones_like(X), 2.0, X), 50.0,
-        100.0, tol=1e-6).value / 50.0
+    avg = adaptive_quad(
+        lambda X: tr.ortho_kernel_classical(1.0, 2.0, X), 50.0, 100.0,
+        tol=1e-6).value / 50.0
     assert abs(avg) < 1e-2
+
+
+def test_classical_kernel_keeps_every_x_of_an_array():
+    X = np.array([50.0, 60.0])
+    out = tr.ortho_kernel_classical(1.0, 2.0, X)
+    assert out.shape == (2,)
+    assert list(out) == [tr.ortho_kernel_classical(1.0, 2.0, x) for x in X]
+    assert type(tr.ortho_kernel_classical(1.0, 2.0, 50.0)) is float
 
 
 def test_classical_kernel_diagonal_grows():
