@@ -5,6 +5,9 @@ Two engines cover every integral in the library:
 * ``adaptive_quad``: nested Gauss rules (10/20 points) with interval
   bisection, honest per-panel error estimates, and cube-root endpoint
   substitutions for flagged integrable singularities (log or x^(-1/2)).
+  Each round bisects the worst panels, as many as it takes for the error
+  left in the others to meet the tolerance, and evaluates the nodes of
+  all their halves in one integrand call.
 * ``oscillatory_semi_infinite``: integrates bracket by bracket along the
   asymptotically regular sign changes and accelerates the partial sums
   with Wynn's epsilon algorithm; this is what makes the conditionally
@@ -12,6 +15,9 @@ Two engines cover every integral in the library:
 
 Both are stateless and evaluate their integrand on arrays of nodes, so
 callers may parallelize freely; results do not depend on evaluation order.
+Integrands must be pointwise: the value at a node may not depend on the
+other nodes of the call, whose number and grouping are the engine's
+choice.
 """
 
 import heapq
@@ -46,8 +52,9 @@ def _gauss(n):
     return _NODES[n]
 
 
-def _panel_pair(f, a, b):
-    """(coarse, fine) Gauss estimates on [a, b] with one integrand call.
+def _panel_pairs(f, a, b):
+    """(coarse, fine) Gauss estimates on the panels [a_i, b_i], from one
+    integrand call on all of their nodes.
 
     Non-finite estimates (divergent or overflowing integrands) come back
     as a zero value with an effectively infinite error so the caller
@@ -56,21 +63,23 @@ def _panel_pair(f, a, b):
     x10, w10 = _gauss(10)
     x20, w20 = _gauss(20)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = np.concatenate([mid + half * x10, mid + half * x20])
+    nodes = mid[:, None] + half[:, None] * np.concatenate([x10, x20])
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = _values(f, nodes)
-        coarse = half * np.dot(w10, vals[:10])
-        fine = half * np.dot(w20, vals[10:])
-    if not (np.isfinite(coarse) and np.isfinite(fine)):
-        return 1e300, 0.0  # panel value 0, panel error 1e300
+        vals = _values(f, nodes.ravel()).reshape(nodes.shape)
+        coarse = half * (vals[:, :10] @ w10)
+        fine = half * (vals[:, 10:] @ w20)
+    bad = ~(np.isfinite(coarse) & np.isfinite(fine))
+    coarse[bad], fine[bad] = 1e300, 0.0  # panel value 0, panel error 1e300
     return coarse, fine
 
 
 def adaptive_quad(f, a, b, tol=1e-8, singular=(), max_panels=4000):
     """Integrate f over [a, b] to absolute accuracy ~tol.
 
-    f is called on arrays of nodes inside [a, b] and must return an array
-    of values of the same shape.
+    f is called on 1-D arrays of nodes inside [a, b] and must return an
+    array of values of the same shape, each depending on its own node
+    only: every round of bisections evaluates all of its new panels
+    (30 nodes each) in one call.
 
     ``singular`` may contain "left" and/or "right" to flag integrable
     endpoint singularities; those ends are regularized with the map
@@ -116,30 +125,43 @@ def _values(f, x):
 
 
 def _adaptive_core(f, a, b, tol, max_panels):
-    coarse, fine = _panel_pair(f, a, b)
-    # heap of (-err, a, b, fine_estimate)
-    heap = [(-abs(fine - coarse), a, b, fine)]
-    total_err = abs(fine - coarse)
+    heap = []  # (-err, a, b, fine estimate) of every panel
+    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    total_err = _push_panels(heap, lo, hi, *_panel_pairs(f, lo, hi))
     neval = 30
     panels = 1
     while total_err > tol and panels < max_panels:
-        negerr, pa, pb, _pval = heapq.heappop(heap)
-        err = -negerr
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:  # interval exhausted at float resolution
-            heapq.heappush(heap, (0.0, pa, pb, _pval))
-            total_err -= err
-            continue
-        c1, f1 = _panel_pair(f, pa, mid)
-        c2, f2 = _panel_pair(f, mid, pb)
-        neval += 60
-        panels += 1
-        heapq.heappush(heap, (-abs(f1 - c1), pa, mid, f1))
-        heapq.heappush(heap, (-abs(f2 - c2), mid, pb, f2))
-        total_err += abs(f1 - c1) + abs(f2 - c2) - err
+        # the worst panels, until the error left in the heap would meet tol
+        split, err_sum = [], 0.0
+        while (heap and heap[0][0] < 0.0 and err_sum <= total_err - tol
+               and panels + len(split) < max_panels):
+            negerr, pa, pb, pval = heapq.heappop(heap)
+            mid = 0.5 * (pa + pb)
+            if mid <= pa or mid >= pb:  # interval exhausted at float resolution
+                heapq.heappush(heap, (0.0, pa, pb, pval))
+                total_err += negerr
+                continue
+            split.append((pa, mid, pb))
+            err_sum -= negerr
+        if not split:
+            break
+        pa, mid, pb = np.array(split).T
+        lo, hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
+        total_err += _push_panels(heap, lo, hi, *_panel_pairs(f, lo, hi)) \
+            - err_sum
+        neval += 60 * len(split)
+        panels += len(split)
     value = float(sum(item[3] for item in heap))
     total_err = float(sum(-item[0] for item in heap))
     return QuadResult(value, total_err, total_err <= tol, neval)
+
+
+def _push_panels(heap, lo, hi, coarse, fine):
+    """Push the panels [lo_i, hi_i] onto the heap; returns their error."""
+    errs = np.abs(fine - coarse)
+    for item in zip((-errs).tolist(), lo.tolist(), hi.tolist(), fine.tolist()):
+        heapq.heappush(heap, item)
+    return float(errs.sum())
 
 
 # ---------------------------------------------------------------------------

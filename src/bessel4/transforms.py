@@ -285,6 +285,22 @@ class _FilonGrid:
         return self.head[0].size + self.x.size
 
 
+def _two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product,
+    with Veltkamp's split of each factor into 26 + 27 bits)."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, e
+
+
+def _split(a):
+    t = 134217729.0 * a  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
 def _filon_sum(grid: _FilonGrid, lams, A, B):
     """integral over the Filon panels of
     x f(x) [A J0(lam x) + B J1(lam x)/(lam x)] dx for each lam.
@@ -304,7 +320,10 @@ def _filon_sum(grid: _FilonGrid, lams, A, B):
     moments = _legendre_moments(lams[:, None] * grid.widths)
     weights = np.einsum("...k,kj->...j", moments, _FILON_FIT)
     panels = np.sum(h * weights[:, grid.which], axis=-1)
-    phase = np.exp(1j * (lams[:, None] * grid.mid))
+    # lam c rounds by up to an ulp of itself (1e-12 at lam c ~ 1e4); its
+    # rounding error e enters as exp(i (p + e)) = exp(i p) (1 + i e)
+    p, e = _two_product(lams[:, None], grid.mid)
+    phase = np.exp(1j * p) * (1.0 + 1j * e)
     total = np.sum(grid.half * phase * panels, axis=-1)
     return (total * np.exp(-0.25j * np.pi)).real
 
@@ -658,9 +677,10 @@ def ortho_kernel_classical(lmb, mu, X, method="closed"):
         return lmb * val
     lmb_arr = np.atleast_1d(np.asarray(lmb, dtype=float))
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
-    lmb_arr, mu_arr = np.broadcast_arrays(lmb_arr, mu_arr)
-    num = X * (lmb_arr * classical.j1(lmb_arr * X) * classical.j0(mu_arr * X)
-               - mu_arr * classical.j0(lmb_arr * X) * classical.j1(mu_arr * X))
+    # the lam side once, broadcast against every mu
+    jl0, jl1 = classical.j0(lmb_arr * X), classical.j1(lmb_arr * X)
+    num = X * (lmb_arr * jl1 * classical.j0(mu_arr * X)
+               - mu_arr * jl0 * classical.j1(mu_arr * X))
     out = lmb_arr * num / (lmb_arr ** 2 - mu_arr ** 2)
     scalar = np.ndim(lmb) == 0 and np.ndim(mu) == 0 and np.ndim(X) == 0
     return float(out[0]) if scalar else out
@@ -684,14 +704,13 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
             max_panels=20000).value
         return weight * (val + M / 2.0)
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
-    dl = jtype_derivs_multi(np.full_like(mu_arr, lmb), X, params, order=3)
+    dl = jtype_derivs_multi(lmb, X, params, order=3)  # broadcast over mu
     dm = jtype_derivs_multi(mu_arr, X, params, order=3)
     w = 9.0 / X + 8.0 * X / M
     sym = (dm[0] * (X * dl[3] + dl[2]) - (X * dm[3] + dm[2]) * dl[0]
            - X * (dm[1] * dl[2] - dm[2] * dl[1])
            - w * (dm[0] * dl[1] - dm[1] * dl[0]))
-    dL = spectral_value(lmb, params) - np.array(
-        [spectral_value(m, params) for m in mu_arr])
+    dL = spectral_value(lmb, params) - spectral_value(mu_arr, params)
     out = weight * sym / dL
     return float(out[0]) if np.ndim(mu) == 0 else out
 

@@ -145,16 +145,70 @@ def test_integrand_sees_only_arrays_inside_the_interval():
         calls.append(np.array(x, dtype=float))
         return cb.y0(x - 1.0)
 
+    ncalls = npairs = 0
     for singular in ((), ("left",), ("right",), ("left", "right")):
         calls.clear()
         r = adaptive_quad(f, 2.0, 3.0, tol=1e-10, singular=singular)
         assert r.converged
         assert r.value == pytest.approx(0.35487652652232226, abs=1e-9)
-        assert len(calls) == r.neval // 30  # one call per Gauss panel pair
+        # one call per round of bisections, on whole Gauss panel pairs
+        assert all(c.size % 30 == 0 for c in calls)
+        assert sum(c.size for c in calls) == r.neval
+        ncalls, npairs = ncalls + len(calls), npairs + r.neval // 30
         assert all(c.ndim == 1 and np.all((c > 2.0) & (c < 3.0)) for c in calls)
+    assert ncalls < npairs
     calls.clear()
     oscillatory_semi_infinite(lambda x: f(x + 2.0), np.pi, tol=1e-6)
     assert calls and all(c.ndim == 1 and np.all(c > 2.0) for c in calls)
+
+
+@pytest.mark.parametrize("f, a, b, singular, tol, exact", [
+    (lambda x: x ** 19, 0.0, 1.0, (), 1e-14, 1.0 / 20.0),
+    (np.sin, 0.0, np.pi, (), 1e-12, 2.0),
+    (lambda x: 1.0 / (1e-4 + x * x), -1.0, 1.0, (), 1e-10,
+     200.0 * np.arctan(100.0)),
+    (np.log, 0.0, 1.0, ("left",), 1e-8, -1.0),
+])
+def test_batched_core_meets_tol_on_exact_integrals(f, a, b, singular, tol, exact):
+    r = adaptive_quad(f, a, b, tol=tol, singular=singular)
+    assert r.converged and r.error <= tol
+    assert abs(r.value - exact) <= tol
+
+
+def test_degree_19_polynomial_takes_one_panel():
+    # the 10-point rule is exact to degree 19, so coarse and fine agree
+    r = adaptive_quad(lambda x: x ** 19, 0.0, 1.0, tol=1e-14)
+    assert r.neval == 30
+
+
+def test_batched_core_splits_many_panels_per_call():
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return 1.0 / (1e-4 + x * x)
+
+    r = adaptive_quad(f, -1.0, 1.0, tol=1e-10)
+    assert r.converged and sum(sizes) == r.neval
+    assert all(n % 30 == 0 for n in sizes)
+    assert len(sizes) < r.neval // 30
+
+
+@pytest.mark.parametrize("max_panels", [1, 2, 4, 7, 50])
+def test_max_panels_caps_bisections(max_panels):
+    r = adaptive_quad(lambda x: np.sin(50.0 * x), 0.0, 20.0, tol=1e-12,
+                      max_panels=max_panels)
+    assert r.neval <= 30 + 60 * max_panels
+    assert not r.converged
+
+
+def test_jump_with_zero_tol_terminates():
+    # the panel holding 1/3 is bisected down to float resolution, where
+    # it is set aside; every other panel has a constant integrand
+    r = adaptive_quad(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0,
+                      tol=0.0)
+    assert r.neval <= 30 + 60 * 4000
+    assert r.value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_scalar_valued_integrand_raises():

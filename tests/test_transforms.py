@@ -147,6 +147,29 @@ def test_classical_kernel_keeps_every_x_of_an_array():
     assert type(tr.ortho_kernel_classical(1.0, 2.0, 50.0)) is float
 
 
+@pytest.mark.parametrize("lam0, X", [(0.6, 20.0), (1.3, 50.0), (2.9, 200.0)])
+def test_delta_kernels_are_pointwise_in_mu(lam0, X):
+    # adaptive_quad hands a whole round of panels to one call, so each
+    # mu's value may not depend on the other mu in the array
+    mu = np.linspace(lam0 - 0.5, lam0 + 0.5, 61)[1::2]
+    out = tr.ortho_kernel_classical(lam0, mu, X)
+    assert list(out) == [tr.ortho_kernel_classical(lam0, m, X) for m in mu]
+    for M in (0.5, 1.0, 2.0):
+        out = tr.ortho_kernel_generalized(lam0, mu, Params(M), X)
+        assert list(out) == [tr.ortho_kernel_generalized(lam0, m, Params(M), X)
+                             for m in mu]
+
+
+def test_two_product_is_exact():
+    from fractions import Fraction
+    rng = np.random.default_rng(3)
+    a, b = rng.uniform(0.0, 1e3, 500), rng.uniform(0.0, 40.0, 500)
+    p, e = tr._two_product(a, b)
+    assert np.array_equal(p, a * b)
+    assert all(Fraction(x) * Fraction(y) == Fraction(u) + Fraction(v)
+               for x, y, u, v in zip(a, b, p, e))
+
+
 def test_classical_kernel_diagonal_grows():
     k1 = tr.ortho_kernel_classical(1.0, 1.0 + 1e-9, 50.0)
     k2 = tr.ortho_kernel_classical(1.0, 1.0 + 1e-9, 100.0)
