@@ -341,36 +341,36 @@ def eval_solution(handle: SolutionHandle, x):
 
 
 def eval_jtype_outer(lams, xs, params: Params):
-    """J_lam(x) on the outer grid lams[:, None] * xs[None, :].
+    """J_lam(x) with lams broadcast against xs: pass lams[:, None] and
+    xs[None, :] for the outer grid, or two arrays of one shape for
+    (lam, x) pairs.
 
     Each entry takes the same path and arithmetic as ``eval_solution`` on
     the handle (jtype, lam): below the switch, Horner in x^2 on the series
-    coefficients, which one ``_jtype_coeffs`` call builds for every lam
-    that needs them (the ``_series_cached`` memo would only churn on a
-    stream of quadrature lams); above it, A*J0(z) + B*J1(z)/z with one J0
-    and one J1 call.
+    coefficients, which one ``_jtype_coeffs`` call builds for every
+    distinct lam that needs them (the ``_series_cached`` memo would only
+    churn on a stream of quadrature lams); above it, A*J0(z) + B*J1(z)/z
+    with one J0 and one J1 call.
     """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    lams, xs = np.broadcast_arrays(np.asarray(lams, dtype=float),
+                                   np.asarray(xs, dtype=float))
     if np.any(lams < 0.0):
         raise ValueError("lambda must be a nonnegative real here")
     if np.any(xs < 0.0):
         raise ValueError("x must be nonnegative")
-    z = lams[:, None] * xs[None, :]
+    z = lams * xs
     out = np.empty_like(z)
     small = z < _SERIES_SWITCH
     if np.any(small):
-        rows, cols = np.nonzero(small)
-        need, row_of = np.unique(rows, return_inverse=True)
-        coef = _jtype_coeffs(lams[need], float(params.M), _SERIES_TERMS)
-        out[small] = _horner(np.take(coef.T, row_of, axis=1), xs[cols] ** 2)
+        need, row_of = np.unique(lams[small], return_inverse=True)
+        coef = _jtype_coeffs(need, float(params.M), _SERIES_TERMS)
+        out[small] = _horner(np.take(coef.T, row_of, axis=1), xs[small] ** 2)
     big = ~small
     if np.any(big):
-        rows = np.nonzero(big)[0]
-        mq = params.M * (lams / 2.0) ** 2
+        mq = params.M * (lams[big] / 2.0) ** 2
         zb = z[big]
-        out[big] = (1.0 + mq[rows]) * classical.j0(zb) \
-            + (-2.0 * mq[rows]) * (classical.j1(zb) / zb)
+        out[big] = (1.0 + mq) * classical.j0(zb) \
+            + (-2.0 * mq) * (classical.j1(zb) / zb)
     return out
 
 

@@ -16,22 +16,24 @@ The forward integral over [0, X] (X escalating through 25, 50, 100, 200,
 or fixed) runs on whole lam arrays, each lam on one of two grids:
 
 * a composite Gauss grid on [0, X] with panels sized to lam (2.5 rad
-  each), read through the kernel matrix K(lam_i, x_j), formed in row
-  chunks of at most 2^16 entries;
-* for lam in the octave [2^k, 2^(k+1)), the same Gauss grid on [0, 8/2^k]
-  and Filon panels beyond it, where lam x >= 8 and K = A J0(lam x) +
+  each);
+* for lam in the octave [2^k, 2^(k+1)), a Gauss grid on [0, 8/2^k] and
+  Filon panels beyond it, where lam x >= 8 and K = A J0(lam x) +
   B J1(lam x)/(lam x) is Re[exp(i lam x) a(x)] with a slowly varying
   amplitude a built from the modulus-phase P0, Q0, P1, Q1 (A = 1, B = 0
   for the classical pair).  Each panel fits x f a at 16 Gauss nodes by a
   Legendre series and integrates it against exp(i lam x) exactly.  The
-  panels are sized to f alone: geometric by 1.5 from 8/2^k to 1.5, 0.75
-  wide beyond, bisected where f is not resolved.  Their count grows only
-  like log(lam).
+  panels are sized to f alone: two equal panels in each octave of x,
+  bisected where f is not resolved, so every half-width is a power of
+  two and one panel set serves every octave of lam.  Their count grows
+  only like log(lam).
 
 A lam takes the Filon grid when it has fewer nodes than the Gauss grid,
-so at X = 40 for lam > 4: 1056 nodes at lam = 320 against 65536.
+so at X = 40 for lam >= 1/2: 432 nodes at lam = 320 against 65536.  The
+lams go in row chunks of about 2^16 nodes; each chunk makes one kernel
+call on the (lam, node) pairs of its Gauss grids and one Filon pass.
 Against the closed forms of exp(-x) and exp(-x^2) at X = 40, lam in
-[8, 320], the forward is within 1.5e-13 (generalized pair, M <= 2) and
+[8, 320], the forward is within 8.5e-14 (generalized pair, M <= 2) and
 1.1e-16 (classical) absolute, as the Gauss grid was.  The inverse is an
 adaptive head on lam in [0, 8] plus brackets of spacing
 pi/x summed with epsilon acceleration; at x = 0 it is the lam-measure
@@ -57,14 +59,14 @@ import numpy as np
 from . import classical
 from .measures import (AtomDensityMeasure, inner_product, lebesgue_x,
                        spectral_measure)
-from .quadrature import adaptive_quad, oscillatory_semi_infinite
+from .quadrature import _gauss, adaptive_quad, oscillatory_semi_infinite
 from .solutions import (Params, SolutionHandle, SolutionKind,
                         _direct_derivs_scaled, eval_jtype_outer, eval_solution,
                         spectral_value)
 
 
-# grid nodes per row chunk of a lam group (kernel-matrix entries, or
-# Filon nodes times lams)
+# grid nodes (kernel and Filon) per row chunk of lams: a lam whose nodes
+# start past a multiple of this starts a new chunk
 _CHUNK_POINTS = 1 << 16
 
 
@@ -94,11 +96,11 @@ def jtype_derivs_multi(lams, x, params: Params, order=3):
 
 @dataclass(frozen=True)
 class _Pair:
-    """A Hankel-type pair: kernel(lams, xs) on the outer grid, equal to 1
-    at x = 0 and equal to A J0(lam x) + B J1(lam x)/(lam x) with
-    (A, B) = coeffs(lams) where lam x >= 8; the x side is weight x plus an
-    atom x_atom at the origin, the lam side is lam_measure.  lam_cap bounds
-    the lam at which the inverse at x = 0 reads g (see
+    """A Hankel-type pair: kernel(lams, xs) with lams broadcast against
+    xs, equal to 1 at x = 0 and equal to A J0(lam x) + B J1(lam x)/(lam x)
+    with (A, B) = coeffs(lams) where lam x >= 8; the x side is weight x
+    plus an atom x_atom at the origin, the lam side is lam_measure.
+    lam_cap bounds the lam at which the inverse at x = 0 reads g (see
     ``_measure_integral``)."""
 
     kernel: Callable
@@ -108,8 +110,8 @@ class _Pair:
     lam_cap: float = np.inf
 
 
-def _j0_outer(lams, xs):
-    return classical.j0(np.multiply.outer(np.atleast_1d(lams), np.atleast_1d(xs)))
+def _j0_kernel(lams, xs):
+    return classical.j0(np.multiply(lams, xs))
 
 
 def _j0_coeffs(lams):
@@ -117,7 +119,7 @@ def _j0_coeffs(lams):
 
 
 # the classical order-zero pair: kernel J0(lam x), weight x on both sides
-_CLASSICAL = _Pair(_j0_outer, _j0_coeffs, 0.0, lebesgue_x(), lam_cap=1000.0)
+_CLASSICAL = _Pair(_j0_kernel, _j0_coeffs, 0.0, lebesgue_x(), lam_cap=1000.0)
 
 
 def _generalized_pair(params: Params) -> _Pair:
@@ -142,19 +144,16 @@ def _origin(pair: _Pair, f, f0):
 # ---------------------------------------------------------------------------
 # forward quadrature: Gauss grids and Filon panels
 
-# Filon panels hold 16 Gauss-Legendre nodes each.  From the end 8/2^k of
-# the Gauss head up to _FILON_BEND they grow geometrically by at most
-# _FILON_RATIO, beyond it they are uniform and at most _FILON_WIDTH wide,
-# so every panel's centre lies at least 5 half-widths from the origin,
-# where the amplitude's sqrt(x) and the 1/x^2 of P and Q are
-# singular.  Panels where the fit of x f misses _FILON_FIT_TOL are
-# bisected down to _FILON_MIN_HALF (see ``_fit_panels``).
-_FILON_WIDTH = 0.75
-_FILON_RATIO = 1.5
-_FILON_BEND = 2.0 * _FILON_WIDTH
+# Filon panels hold 16 Gauss-Legendre nodes each.  Two equal panels cover
+# each octave [2^j, 2^(j+1)) of x, the last one clipped at x_cut, so every
+# half-width is a power of two, one panel set serves every octave of lam,
+# and every panel's centre lies at least 5 half-widths from the origin,
+# where the amplitude's sqrt(x) and the 1/x^2 of P and Q are singular.
+# Panels where the fit of x f misses _FILON_FIT_TOL are bisected down to
+# _FILON_MIN_HALF (see ``_fit_panels``).
 _FILON_FIT_TOL = 1e-14
 _FILON_MIN_HALF = 1e-6
-_FILON_T, _FILON_W = np.polynomial.legendre.leggauss(16)
+_FILON_T, _FILON_W = _gauss(16)
 # _FILON_FIT[k, j] = (k + 1/2) w_j P_k(t_j): the Legendre coefficients of
 # the degree-15 interpolant are _FILON_FIT @ (values at the nodes)
 _FILON_FIT = (np.arange(16)[:, None] + 0.5) * _FILON_W \
@@ -207,19 +206,19 @@ def _legendre_moments(omega):
 
 
 def _panel_count(x_cut, freq):
-    """Gauss panels on [0, x_cut], a power of two: they resolve both the
-    kernel oscillation (2.5 rad per panel) and the profile of f itself
-    (panel width at most 0.75)."""
-    per_panel = 2.5
-    need = max(4, math.ceil(x_cut / 0.75),
-               math.ceil(x_cut * max(freq, 1e-9) / per_panel))
-    return 1 << (need - 1).bit_length()
+    """Gauss panels on [0, x_cut] for each kernel frequency in freq, a
+    power of two: they resolve both the kernel oscillation (2.5 rad per
+    panel) and the profile of f itself (panel width at most 0.75)."""
+    need = np.maximum(np.maximum(4.0, np.ceil(x_cut / 0.75)),
+                      np.ceil(x_cut * np.maximum(freq, 1e-9) / 2.5))
+    # 2^bit_length(need - 1), the power of two at or above need
+    return np.ldexp(1.0, np.frexp(need - 1.0)[1]).astype(int)
 
 
 def _gauss_panels(f, x_cut, npanels):
     """Composite 8-point Gauss-Legendre nodes on [0, x_cut] and their
     weights times x f(x)."""
-    xg, wg = np.polynomial.legendre.leggauss(8)
+    xg, wg = _gauss(8)
     edges = np.linspace(0.0, x_cut, npanels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
@@ -229,60 +228,49 @@ def _gauss_panels(f, x_cut, npanels):
     return nodes, wts * fx
 
 
-def _filon_edges(x0, x_cut):
-    """Filon panel edges on [x0, x_cut] (see _FILON_RATIO)."""
-    bend = min(max(x0, _FILON_BEND), x_cut)
-    parts = [[x0]]
-    if bend > x0:
-        n = int(np.ceil(np.log(bend / x0) / np.log(_FILON_RATIO)))
-        parts.append(x0 * (bend / x0) ** (np.arange(1, n) / n))
-        parts.append([bend])
-    if x_cut > bend:
-        n = int(np.ceil((x_cut - bend) / _FILON_WIDTH))
-        parts.append(np.linspace(bend, x_cut, n + 1)[1:])
-    return np.concatenate(parts)
+def _filon_edges(x0, x_end):
+    """Filon panel edges on [x0, x_end], x0 a power of two: two equal
+    panels per octave of x, the last one clipped at x_end."""
+    octaves = np.ldexp(x0, np.arange(math.ceil(math.log2(x_end / x0))))
+    edges = np.ravel([octaves, 1.5 * octaves], order="F")
+    return np.append(edges[edges < x_end], x_end)
 
 
-def _fit_panels(f, edges):
-    """(centres, half-widths, nodes, x f at the nodes) of the Filon panels:
-    the panels between edges, bisected until the degree-15 interpolant of
-    x f on each has its last two Legendre coefficients below
-    _FILON_FIT_TOL of max |x f| (where f has a kink or ends, as at the
-    edge of a compact support), down to _FILON_MIN_HALF."""
+def _fit_panels(f, edges, scale):
+    """(centres, half-widths, nodes, x f at the nodes) of the Filon panels,
+    sorted by position: the panels between edges, bisected until the
+    degree-15 interpolant of x f on each has its last two Legendre
+    coefficients below _FILON_FIT_TOL of scale (where f has a kink or
+    ends, as at the edge of a compact support), down to _FILON_MIN_HALF."""
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    done, scale = [], None
+    done = []
     while mid.size:
         x = mid[:, None] + half[:, None] * _FILON_T
         xf = x * np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-        if scale is None:
-            scale = np.max(np.abs(xf))
         tail = np.max(np.abs(xf @ _FILON_FIT[-2:].T), axis=1)
         split = (tail > _FILON_FIT_TOL * scale) & (half > _FILON_MIN_HALF)
         done.append((mid[~split], half[~split], x[~split], xf[~split]))
         mid = np.concatenate([mid[split] - 0.5 * half[split],
                               mid[split] + 0.5 * half[split]])
         half = np.tile(0.5 * half[split], 2)
-    return tuple(np.concatenate(parts) for parts in zip(*done))
+    mid, half, x, xf = (np.concatenate(parts) for parts in zip(*done))
+    order = np.argsort(mid)
+    return mid[order], half[order], x[order], xf[order]
 
 
 @dataclass(frozen=True)
-class _FilonGrid:
-    """The forward grid of one octave lam in [2^k, 2^(k+1)): a Gauss head
-    on [0, 8/2^k] read through the kernel, Filon panels beyond it."""
+class _FilonPanels:
+    """Filon panels on [lo, x_cut], sorted by position; a lam in the
+    octave [2^k, 2^(k+1)) takes those past 8/2^k."""
 
-    level: int
-    head: tuple      # (nodes, weights times x f) of the Gauss head
-    x: np.ndarray    # (panels, 16) Filon nodes
-    xf: np.ndarray   # x f(x) at the Filon nodes
-    mid: np.ndarray  # panel centres
-    half: np.ndarray  # panel half-widths
+    lo: float
+    mid: np.ndarray     # panel centres
+    half: np.ndarray    # panel half-widths
+    x: np.ndarray       # (panels, 16) nodes
+    xf: np.ndarray      # x f(x) at the nodes
     widths: np.ndarray  # the distinct half-widths ...
     which: np.ndarray   # ... and which one each panel has
-
-    @property
-    def size(self):
-        return self.head[0].size + self.x.size
 
 
 def _two_product(a, b):
@@ -301,30 +289,50 @@ def _split(a):
     return hi, a - hi
 
 
-def _filon_sum(grid: _FilonGrid, lams, A, B):
-    """integral over the Filon panels of
-    x f(x) [A J0(lam x) + B J1(lam x)/(lam x)] dx for each lam.
+def _runs(first, count):
+    """(where each run starts, the runs first[i] .. first[i] + count[i] - 1
+    laid end to end), for gathering a ragged set of rows in one pass."""
+    start = np.cumsum(count) - count
+    return start, np.arange(count.sum()) + np.repeat(first - start, count)
+
+
+def _filon_sum(panels: _FilonPanels, lams, count, A, B):
+    """integral over the last count[i] Filon panels of
+    x f(x) [A J0(lam x) + B J1(lam x)/(lam x)] dx for each lam, in one
+    pass over every (lam, panel, node).
 
     With z = lam x >= 8 the bracket is Re[exp(i lam x) a(x)], where
     a = sqrt(2/(pi z)) exp(-i pi/4) [A (P0 + i Q0) - i B (P1 + i Q1)/z]
     varies slowly.  On each panel x f a is replaced by its degree-15
     interpolant at the Gauss nodes, a Legendre series, which is
-    integrated against exp(i lam x) exactly (``_legendre_moments``).
+    integrated against exp(i lam x) exactly (``_legendre_moments``, once
+    per distinct lam times half-width).
     """
-    z = lams[:, None, None] * grid.x
+    start, col = _runs(panels.mid.size - count, count)
+    row = np.repeat(np.arange(lams.size), count)
+    lam = lams[row]
+    z = lam[:, None] * panels.x[col]
     p0, q0, p1, q1 = classical._pq01(z)
-    amp = grid.xf * np.sqrt(2.0 / (np.pi * z))
-    A = A[:, None, None]
-    Bz = B[:, None, None] / z
-    h = amp * ((A * p0 + Bz * q1) + 1j * (A * q0 - Bz * p1))
-    moments = _legendre_moments(lams[:, None] * grid.widths)
+    amp = panels.xf[col] * np.sqrt(2.0 / (np.pi * z))
+    a = A[row, None]
+    bz = B[row, None] / z
+    h = amp * ((a * p0 + bz * q1) + 1j * (a * q0 - bz * p1))
+    width = panels.which[col]
+    pairs, pair_of = np.unique(row * panels.widths.size + width,
+                               return_inverse=True)
+    moments = _legendre_moments(lams[pairs // panels.widths.size]
+                                * panels.widths[pairs % panels.widths.size])
     weights = np.einsum("...k,kj->...j", moments, _FILON_FIT)
-    panels = np.sum(h * weights[:, grid.which], axis=-1)
+    # the temporary on the left: numpy multiplies a large temporary in
+    # place, and on the right it would swap the factors, which a complex
+    # product with FMA rounds differently, so a lam's value would depend
+    # on the size of its batch
+    vals = np.sum(weights[pair_of] * h, axis=-1)
     # lam c rounds by up to an ulp of itself (1e-12 at lam c ~ 1e4); its
     # rounding error e enters as exp(i (p + e)) = exp(i p) (1 + i e)
-    p, e = _two_product(lams[:, None], grid.mid)
+    p, e = _two_product(lam, panels.mid[col])
     phase = np.exp(1j * p) * (1.0 + 1j * e)
-    total = np.sum(grid.half * phase * panels, axis=-1)
+    total = np.add.reduceat(panels.half[col] * phase * vals, start)
     return (total * np.exp(-0.25j * np.pi)).real
 
 
@@ -332,75 +340,123 @@ class _PanelCache:
     """The forward grids on [0, x_cut] with the profile weighted by x (the
     x-side density of every pair) pre-evaluated: composite Gauss-Legendre
     grids whose panel count, a power of two, is sized to the kernel's
-    frequency, and one Filon grid per octave of lam."""
+    frequency; for the octave [2^k, 2^(k+1)) of lam a Gauss head on
+    [0, 8/2^k]; and one set of Filon panels, grown down by octaves of x
+    as the lams asked for grow."""
 
     def __init__(self, f, x_cut):
         self.f = f
         self.x_cut = float(x_cut)
         self._grids = {}
-        self._filon = {}
+        self._heads = {}
+        self._coarse = None
+        self._filon = None
 
     def grid(self, freq):
-        npanels = _panel_count(self.x_cut, freq)
+        npanels = int(_panel_count(self.x_cut, freq))
         if npanels not in self._grids:
             self._grids[npanels] = _gauss_panels(self.f, self.x_cut, npanels)
         return self._grids[npanels]
 
-    def filon(self, lam):
-        """The Filon grid of lam's octave if it has fewer nodes than the
-        Gauss grid of lam, else None."""
-        if not lam > 0.0:
-            return None
-        level = math.frexp(lam)[1] - 1
-        if level not in self._filon:
-            self._filon[level] = self._filon_grid(level)
-        grid = self._filon[level]
-        if grid is None or grid.size >= 8 * _panel_count(self.x_cut, lam):
-            return None
-        return grid
+    def coarse(self):
+        """(nodes, |x f|) on the coarsest Gauss grid."""
+        if self._coarse is None:
+            nodes, _ = self.grid(0.0)
+            self._coarse = nodes, np.abs(nodes * np.asarray(self.f(nodes),
+                                                            dtype=float))
+        return self._coarse
 
-    def _filon_grid(self, level):
-        x0 = math.ldexp(classical._OSC_PLAIN, -level)
-        if x0 >= self.x_cut:
-            return None
-        # the head's Gauss grid is sized for the top of the octave
-        head = _gauss_panels(self.f, x0,
-                             _panel_count(x0, math.ldexp(1.0, level + 1)))
-        mid, half, x, xf = _fit_panels(self.f, _filon_edges(x0, self.x_cut))
-        widths, which = np.unique(half, return_inverse=True)
-        return _FilonGrid(level, head, x, xf, mid, half, widths, which)
+    def head(self, level):
+        """The Gauss head of lam's octave [2^level, 2^(level+1)), on
+        [0, 8/2^level] and sized for the top of the octave."""
+        if level not in self._heads:
+            x0 = math.ldexp(classical._OSC_PLAIN, -level)
+            self._heads[level] = _gauss_panels(
+                self.f, x0, int(_panel_count(x0, math.ldexp(2.0, level))))
+        return self._heads[level]
+
+    def filon(self, x0):
+        """The Filon panels, covering [x0, x_cut] at least (x0 a power of
+        two below x_cut).  Their bisection is relative to the largest |x f|
+        on the coarsest Gauss grid, so a panel does not depend on x0."""
+        old = self._filon
+        lo = self.x_cut if old is None else old.lo
+        if x0 < lo:
+            scale = np.max(self.coarse()[1], initial=0.0)
+            parts = _fit_panels(self.f, _filon_edges(x0, lo), scale)
+            if old is not None:
+                parts = [np.concatenate(p)
+                         for p in zip(parts, (old.mid, old.half, old.x, old.xf))]
+            mid, half, x, xf = parts
+            widths, which = np.unique(half, return_inverse=True)
+            self._filon = _FilonPanels(x0, mid, half, x, xf, widths, which)
+        return self._filon
+
+
+def _routes(cache: _PanelCache, lams):
+    """The grid of each lam: (the Gauss grids and heads, which one each
+    lam reads through the kernel, how many Filon panels it adds, the
+    Filon panels).
+
+    A lam in the octave [2^k, 2^(k+1)) takes the head of its octave and
+    the Filon panels past 8/2^k when they have fewer nodes than its Gauss
+    grid, else the Gauss grid and no Filon panel.
+    """
+    npanels = _panel_count(cache.x_cut, lams)
+    level = np.frexp(lams)[1] - 1
+    x0 = np.ldexp(classical._OSC_PLAIN, -level)
+    filon = (lams > 0.0) & (x0 < cache.x_cut)
+    grids, key = [], np.zeros(lams.size, dtype=int)
+    count = np.zeros(lams.size, dtype=int)
+    panels = None
+    if np.any(filon):
+        panels = cache.filon(np.min(x0[filon]))
+        count[filon] = panels.mid.size - np.searchsorted(panels.mid, x0[filon])
+        levels, key[filon] = np.unique(level[filon], return_inverse=True)
+        grids = [cache.head(int(k)) for k in levels]
+        head = np.array([nodes.size for nodes, _ in grids])[key]
+        filon &= head + _FILON_T.size * count < 8 * npanels
+        count[~filon] = 0
+    gauss = np.flatnonzero(~filon)
+    _, first, which = np.unique(npanels[gauss], return_index=True,
+                                return_inverse=True)
+    key[gauss] = len(grids) + which
+    grids += [cache.grid(lam) for lam in lams[gauss[first]]]
+    return grids, key, count, panels
 
 
 def _forward_batch(cache: _PanelCache, lams, pair: _Pair, atom=0.0):
     """atom + integral over [0, x_cut] of x K(lam, x) f(x) dx for each lam.
 
-    Each lam takes the Filon grid of its octave when that has fewer nodes
-    than its Gauss grid, else the Gauss grid.  The lams are grouped by
-    grid; each group is one kernel matrix K(lam_i, x_j) over the Gauss
-    nodes times the weighted profile, plus the Filon panel sum, formed in
-    row chunks of at most _CHUNK_POINTS nodes so memory stays flat.
+    Each lam takes a Gauss grid, or a Gauss head and Filon panels (see
+    ``_routes``).  The lams go in row chunks of about _CHUNK_POINTS nodes,
+    so memory stays flat; each chunk makes one kernel call on every
+    (lam, node) pair of its Gauss grids and heads, summed per lam, and one
+    ``_filon_sum`` pass over its Filon panels.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if not np.all(np.isfinite(lams)):
+        raise ValueError("lambda must be finite")
     out = np.empty_like(lams)
-    groups = {}
-    for i, lam in enumerate(lams):
-        filon = cache.filon(lam)
-        if filon is None:
-            nodes, wfx = cache.grid(lam)
-            key = nodes.size
-        else:
-            (nodes, wfx), key = filon.head, ("filon", filon.level)
-        groups.setdefault(key, (nodes, wfx, filon, []))[3].append(i)
-    for nodes, wfx, filon, idx in groups.values():
-        idx = np.asarray(idx)
-        size = nodes.size if filon is None else filon.size
-        rows = max(1, _CHUNK_POINTS // size)
-        for start in range(0, idx.size, rows):
-            sel = idx[start:start + rows]
-            out[sel] = atom + pair.kernel(lams[sel], nodes) @ wfx
-            if filon is not None:
-                out[sel] += _filon_sum(filon, lams[sel],
-                                       *pair.coeffs(lams[sel]))
+    if lams.size == 0:
+        return out
+    grids, key, count, panels = _routes(cache, lams)
+    sizes = np.array([nodes.size for nodes, _ in grids])
+    offset = np.cumsum(sizes) - sizes
+    nodes = np.concatenate([nodes for nodes, _ in grids])
+    wfx = np.concatenate([w for _, w in grids])
+    size = sizes[key]
+    total = size + _FILON_T.size * count
+    chunk = (np.cumsum(total) - total) // _CHUNK_POINTS
+    for rows in np.split(np.arange(lams.size),
+                         np.flatnonzero(np.diff(chunk)) + 1):
+        start, idx = _runs(offset[key[rows]], size[rows])
+        k = pair.kernel(np.repeat(lams[rows], size[rows]), nodes[idx])
+        out[rows] = atom + np.add.reduceat(k * wfx[idx], start)
+        rows = rows[count[rows] > 0]
+        if rows.size:
+            out[rows] += _filon_sum(panels, lams[rows], count[rows],
+                                    *pair.coeffs(lams[rows]))
     return out
 
 
@@ -459,8 +515,7 @@ def _ring(panels: _PanelCache, tol):
     of f, or x_cut.  It counts only if f ends there sharply, with x |f|
     above tol within one panel below E; 0 otherwise (f has decayed).
     """
-    nodes, _ = panels.grid(0.0)
-    xf = np.abs(nodes * np.asarray(panels.f(nodes), dtype=float))
+    nodes, xf = panels.coarse()
     live = np.flatnonzero(xf)
     if live.size == 0:
         return 0.0
@@ -507,7 +562,7 @@ def _inverse(pair: _Pair, g, x_grid, tol, lam_tail_start=8.0,
 
         def integrand(lam):
             lam = np.asarray(lam, dtype=float)
-            return pair.kernel(lam, float(x))[:, 0] \
+            return pair.kernel(lam, float(x)) \
                 * np.asarray(g(lam), dtype=float) * density(lam)
 
         head = adaptive_quad(integrand, 0.0, lam_tail_start, tol=tol * 1e-2)
@@ -659,7 +714,7 @@ def vanishing_moment(eta: float, params: Params, tol=1e-7) -> float:
 
     def integrand(lam):
         lam = np.asarray(lam, dtype=float)
-        return eval_jtype_outer(lam, eta, params)[:, 0] * n_measure.density(lam)
+        return eval_jtype_outer(lam, eta, params) * n_measure.density(lam)
 
     start = 6.0 / eta if eta < 3 else 4.0
     head = adaptive_quad(integrand, 0.0, start, tol=tol * 0.1)

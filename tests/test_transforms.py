@@ -226,7 +226,7 @@ def test_jtype_multi_evaluators_match_handles():
         eval_jtype_outer, eval_solution, eval_solution_derivs
     lams = np.array([0.3, 1.0, 2.5])
     x = 7.0
-    multi = eval_jtype_outer(lams, x, P1)[:, 0]
+    multi = eval_jtype_outer(lams[:, None], x, P1)[:, 0]
     single = [eval_solution(SolutionHandle(SolutionKind.jtype, l, P1), x)
               for l in lams]
     assert np.allclose(multi, single, rtol=1e-13)
@@ -234,10 +234,18 @@ def test_jtype_multi_evaluators_match_handles():
     # the switch the direct formula loses digits to cancellation
     P2 = Params(2.0)
     near = np.array([25.0, 60.0, 150.0, 400.0])
-    multi = eval_jtype_outer(near, 0.005, P2)[:, 0]
+    multi = eval_jtype_outer(near[:, None], 0.005, P2)[:, 0]
     single = [eval_solution(SolutionHandle(SolutionKind.jtype, l, P2), 0.005)
               for l in near]
     assert np.allclose(multi, single, rtol=1e-13, atol=0.0)
+    # (lam, x) pairs, in any order, read the entries of the outer grid
+    xs = np.array([0.0, 0.2, 3.0, 7.0, 40.0])
+    outer = eval_jtype_outer(near[:, None], xs[None, :], P2)
+    pair_lams, pair_xs = np.meshgrid(near, xs, indexing="ij")
+    flip = slice(None, None, -1)
+    assert np.array_equal(eval_jtype_outer(pair_lams.ravel()[flip],
+                                           pair_xs.ravel()[flip], P2),
+                          outer.ravel()[flip])
     dm = tr.jtype_derivs_multi(lams, x, P1, order=3)
     for i, l in enumerate(lams):
         ds = eval_solution_derivs(SolutionHandle(SolutionKind.jtype, l, P1),
@@ -251,9 +259,10 @@ def test_generalized_inverse_of_zero_is_zero():
     assert np.all(r.values == 0.0)
 
 
-# unsorted, with duplicates; at x_cut 40 the lams fall in the 512, 1024,
-# 2048 and 4096-node grids, the first holding more lams than one chunk,
-# and the smallest ones put every node on the series path
+# unsorted, with duplicates; at x_cut 40 their Gauss grids have 512,
+# 1024, 2048 and 4096 nodes, the first holding more lams than one chunk,
+# but only the lams below 1/2 take theirs, the rest the Filon panels of
+# six octaves; the smallest ones put every node on the series path
 _BATCH_LAMS = np.concatenate([
     np.linspace(3.9, 0.0, 150), [1e-3, 0.02, 0.02, 5.5, 7.9, 5.5, 12.0, 30.0,
                                  16.5, 0.7, 30.0, 1e-3]])
@@ -272,7 +281,7 @@ def test_batched_forward_closed_forms(M):
     sizes = [panels.grid(l)[0].size for l in _BATCH_LAMS]
     assert len(set(sizes)) >= 4
     assert sizes.count(min(sizes)) > tr._CHUNK_POINTS // min(sizes)
-    assert all(panels.filon(l) is not None for l in _FILON_LAMS)
+    assert np.all(tr._routes(panels, _FILON_LAMS)[2] > 0)
     q = M * lam ** 2 / 4.0
     expect_gauss = np.exp(-lam ** 2 / 4.0) * ((1.0 + q) / 2.0 + M / 2.0)
     expect_expx = (1.0 + q) * (1.0 + lam ** 2) ** -1.5 \
@@ -290,10 +299,72 @@ def test_batched_forward_closed_forms(M):
 
 def test_forward_evaluator_batch_equals_elementwise():
     expx = lambda x: np.exp(-np.asarray(x, dtype=float))
-    batch = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))(_BATCH_LAMS)
+    lam = np.concatenate([_BATCH_LAMS, _FILON_LAMS])
+    batch = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))(lam)
     single = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))
-    one_by_one = np.array([single(l)[0] for l in _BATCH_LAMS])
+    one_by_one = np.array([single(l)[0] for l in lam])
     assert np.max(np.abs(batch - one_by_one)) <= 1e-15
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_forward_rejects_non_finite_lambda(lam):
+    expx = lambda x: np.exp(-np.asarray(x, dtype=float))
+    with pytest.raises(ValueError):
+        tr.generalized_forward(expx, P1, [1.0, lam], x_cut=40.0)
+
+
+def test_forward_batch_one_kernel_call_and_one_filon_pass_per_chunk(
+        monkeypatch):
+    gauss = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    lam = np.concatenate([_BATCH_LAMS, _FILON_LAMS])
+    kernel, filon_sum = tr.eval_jtype_outer, tr._filon_sum
+    calls = {"kernel": [], "filon": [], "lams": []}
+
+    def counted_kernel(lams, xs, params):
+        calls["kernel"].append(np.broadcast(lams, xs).size)
+        return kernel(lams, xs, params)
+
+    def counted_filon(panels, lams, count, A, B):
+        calls["lams"].extend(lams)
+        calls["filon"].append(panels.x.shape[1] * int(np.sum(count)))
+        return filon_sum(panels, lams, count, A, B)
+
+    monkeypatch.setattr(tr, "eval_jtype_outer", counted_kernel)
+    monkeypatch.setattr(tr, "_filon_sum", counted_filon)
+    whole = tr.generalized_forward(gauss, P1, lam, x_cut=40.0).values
+    points = sum(calls["kernel"]) + sum(calls["filon"])
+    # one chunk: its Gauss grids and heads in one kernel call, the Filon
+    # lams of ten octaves in one pass
+    assert points <= tr._CHUNK_POINTS
+    assert len(calls["kernel"]) == len(calls["filon"]) == 1
+    assert set(_FILON_LAMS) <= set(calls["lams"])
+    assert len(np.unique(np.floor(np.log2(calls["lams"])))) == 10
+    # a sixteenth of the chunk: one kernel call and at most one Filon pass
+    # per chunk, and the same values
+    for key in calls:
+        calls[key].clear()
+    monkeypatch.setattr(tr, "_CHUNK_POINTS", tr._CHUNK_POINTS // 16)
+    chunked = tr.generalized_forward(gauss, P1, lam, x_cut=40.0).values
+    assert 8 <= len(calls["kernel"]) <= -(-points // tr._CHUNK_POINTS)
+    assert 1 <= len(calls["filon"]) <= len(calls["kernel"])
+    assert np.max(np.abs(chunked - whole)) <= 1e-15
+
+
+def test_filon_panels_are_shared_and_octave_aligned():
+    gauss = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    whole = tr._PanelCache(gauss, 40.0)
+    tr._routes(whole, _FILON_LAMS)
+    grown = tr._PanelCache(gauss, 40.0)
+    for lam in _FILON_LAMS:  # lowest octave first: the panels grow down
+        _, _, count, panels = tr._routes(grown, np.array([lam]))
+        edges = panels.mid[-count[0]:] - panels.half[-count[0]:]
+        assert edges[0] == 8.0 / 2.0 ** np.floor(np.log2(lam))
+        assert np.array_equal(edges, (whole._filon.mid - whole._filon.half)
+                              [-count[0]:])
+    assert np.array_equal(grown._filon.x, whole._filon.x)
+    half = whole._filon.half
+    assert whole._filon.mid[-1] + half[-1] == 40.0
+    assert np.all(np.log2(half[:-1]) == np.round(np.log2(half[:-1])))
 
 
 @pytest.mark.parametrize("omega", [1e-3, 0.3, 3.0, 30.0, 31.9, 32.0, 300.0])
@@ -329,12 +400,12 @@ def _count_forward_nodes(monkeypatch):
     kernel, filon_sum = tr.eval_jtype_outer, tr._filon_sum
 
     def counted_kernel(lams, xs, params):
-        count[0] += np.size(lams) * np.size(xs)
+        count[0] += np.broadcast(lams, xs).size
         return kernel(lams, xs, params)
 
-    def counted_filon(grid, lams, A, B):
-        count[0] += grid.x.size * np.size(lams)
-        return filon_sum(grid, lams, A, B)
+    def counted_filon(panels, lams, panel_count, A, B):
+        count[0] += panels.x.shape[1] * int(np.sum(panel_count))
+        return filon_sum(panels, lams, panel_count, A, B)
 
     monkeypatch.setattr(tr, "eval_jtype_outer", counted_kernel)
     monkeypatch.setattr(tr, "_filon_sum", counted_filon)

@@ -4,8 +4,8 @@ For each truncation x_cut in X_CUTS and each lambda in LAMS the script
 runs the forward transform of both pairs on two profiles whose transforms
 are known in closed form, one lambda per call, and prints
 
-* the nodes at which the forward evaluated its kernel: kernel-matrix
-  entries plus, where the forward has Filon panels, the Filon nodes;
+* the nodes at which the forward evaluated its kernel: (lambda, node)
+  pairs plus, where the forward has Filon panels, the Filon nodes;
 * the worst absolute error against the closed forms over both profiles,
   for the classical pair and for the generalized pair at M in MS.
 
@@ -74,7 +74,8 @@ class NodeCounter:
         if hasattr(transforms, "_filon_sum"):
             self.targets.append(
                 (transforms, "_filon_sum",
-                 lambda grid, lams, A, B: grid.x.size * np.size(lams)))
+                 lambda panels, lams, count, A, B:
+                 panels.x.shape[1] * int(np.sum(count))))
         self.nodes = 0
         self._saved = []
 
@@ -98,7 +99,7 @@ class NodeCounter:
 
 CLASSICAL_KERNEL = (classical, "j0", lambda z: np.size(z))
 GENERALIZED_KERNEL = (transforms, "eval_jtype_outer",
-                      lambda lams, xs, params: np.size(lams) * np.size(xs))
+                      lambda lams, xs, params: np.broadcast(lams, xs).size)
 
 
 def measure(x_cut, lam):
