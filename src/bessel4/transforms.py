@@ -16,7 +16,7 @@ The forward integral over [0, X] (X escalating through 25, 50, 100, 200,
 or fixed) runs on whole lam arrays, each lam on one of two grids:
 
 * a composite Gauss grid on [0, X] with panels sized to lam (2.5 rad
-  each);
+  each), bisected where x f is not resolved (at a jump of f);
 * for lam in the octave [2^k, 2^(k+1)), a Gauss grid on [0, 8/2^k] and
   Filon panels beyond it, where lam x >= 8 and K = A J0(lam x) +
   B J1(lam x)/(lam x) is Re[exp(i lam x) a(x)] with a slowly varying
@@ -33,8 +33,8 @@ so at X = 40 for lam >= 1/2: 432 nodes at lam = 320 against 65536.  The
 lams go in row chunks of about 2^16 nodes; each chunk makes one kernel
 call on the (lam, node) pairs of its Gauss grids and one Filon pass.
 Against the closed forms of exp(-x) and exp(-x^2) at X = 40, lam in
-[8, 320], the forward is within 8.5e-14 (generalized pair, M <= 2) and
-1.1e-16 (classical) absolute, as the Gauss grid was.  The inverse is an
+[8, 320], the forward is within 9.5e-14 (generalized pair, M <= 2) and
+2e-17 (classical) absolute, as the Gauss grid was.  The inverse is an
 adaptive head on lam in [0, 8] plus brackets of spacing
 pi/x summed with epsilon acceleration; at x = 0 it is the lam-measure
 integral of g.  When g oscillates on its own (f ends sharply at some E),
@@ -215,17 +215,16 @@ def _panel_count(x_cut, freq):
     return np.ldexp(1.0, np.frexp(need - 1.0)[1]).astype(int)
 
 
-def _gauss_panels(f, x_cut, npanels):
-    """Composite 8-point Gauss-Legendre nodes on [0, x_cut] and their
-    weights times x f(x)."""
+def _gauss_panels(f, x_end, npanels, scale):
+    """Composite 8-point Gauss-Legendre nodes on [0, x_end] and their
+    weights times x f(x): npanels equal panels, bisected where x f is not
+    resolved relative to scale, as the Filon panels are (see
+    ``_fit_panels``), so that no panel straddles a jump of f."""
     xg, wg = _gauss(8)
-    edges = np.linspace(0.0, x_cut, npanels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1] - edges[0])
-    nodes = (mid[:, None] + half * xg[None, :]).ravel()
-    wts = np.tile(half * wg, npanels)
+    mid, half, _, _ = _fit_panels(f, np.linspace(0.0, x_end, npanels + 1), scale)
+    nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     fx = np.asarray(f(nodes), dtype=float) * nodes
-    return nodes, wts * fx
+    return nodes, (half[:, None] * wg[None, :]).ravel() * fx
 
 
 def _filon_edges(x0, x_end):
@@ -237,8 +236,8 @@ def _filon_edges(x0, x_end):
 
 
 def _fit_panels(f, edges, scale):
-    """(centres, half-widths, nodes, x f at the nodes) of the Filon panels,
-    sorted by position: the panels between edges, bisected until the
+    """(centres, half-widths, nodes, x f at the 16 nodes) of the panels
+    between edges, sorted by position, bisected until the
     degree-15 interpolant of x f on each has its last two Legendre
     coefficients below _FILON_FIT_TOL of scale (where f has a kink or
     ends, as at the edge of a compact support), down to _FILON_MIN_HALF."""
@@ -349,22 +348,21 @@ class _PanelCache:
         self.x_cut = float(x_cut)
         self._grids = {}
         self._heads = {}
-        self._coarse = None
         self._filon = None
+        # (nodes, |x f|) on the coarsest Gauss grid, before any bisection;
+        # every panel is bisected relative to the largest |x f| there, so a
+        # panel does not depend on the lams asked for
+        nodes, _ = _gauss_panels(f, self.x_cut, int(_panel_count(self.x_cut, 0.0)),
+                                 np.inf)
+        self.coarse = nodes, np.abs(nodes * np.asarray(f(nodes), dtype=float))
+        self.scale = np.max(self.coarse[1], initial=0.0)
 
     def grid(self, freq):
         npanels = int(_panel_count(self.x_cut, freq))
         if npanels not in self._grids:
-            self._grids[npanels] = _gauss_panels(self.f, self.x_cut, npanels)
+            self._grids[npanels] = _gauss_panels(self.f, self.x_cut, npanels,
+                                                 self.scale)
         return self._grids[npanels]
-
-    def coarse(self):
-        """(nodes, |x f|) on the coarsest Gauss grid."""
-        if self._coarse is None:
-            nodes, _ = self.grid(0.0)
-            self._coarse = nodes, np.abs(nodes * np.asarray(self.f(nodes),
-                                                            dtype=float))
-        return self._coarse
 
     def head(self, level):
         """The Gauss head of lam's octave [2^level, 2^(level+1)), on
@@ -372,18 +370,17 @@ class _PanelCache:
         if level not in self._heads:
             x0 = math.ldexp(classical._OSC_PLAIN, -level)
             self._heads[level] = _gauss_panels(
-                self.f, x0, int(_panel_count(x0, math.ldexp(2.0, level))))
+                self.f, x0, int(_panel_count(x0, math.ldexp(2.0, level))),
+                self.scale)
         return self._heads[level]
 
     def filon(self, x0):
         """The Filon panels, covering [x0, x_cut] at least (x0 a power of
-        two below x_cut).  Their bisection is relative to the largest |x f|
-        on the coarsest Gauss grid, so a panel does not depend on x0."""
+        two below x_cut)."""
         old = self._filon
         lo = self.x_cut if old is None else old.lo
         if x0 < lo:
-            scale = np.max(self.coarse()[1], initial=0.0)
-            parts = _fit_panels(self.f, _filon_edges(x0, lo), scale)
+            parts = _fit_panels(self.f, _filon_edges(x0, lo), self.scale)
             if old is not None:
                 parts = [np.concatenate(p)
                          for p in zip(parts, (old.mid, old.half, old.x, old.xf))]
@@ -511,15 +508,26 @@ def _ring(panels: _PanelCache, tol):
     """The frequency at which the forward g oscillates on its own.
 
     That is the end E of the support of f in [0, x_cut] (Paley-Wiener):
-    the first node of the coarsest panel grid past the last nonzero value
-    of f, or x_cut.  It counts only if f ends there sharply, with x |f|
-    above tol within one panel below E; 0 otherwise (f has decayed).
+    the point where f turns to 0 for good, bisected down to adjacent
+    doubles between the last node of the coarsest panel grid with a nonzero
+    value and the next node, or x_cut.  It counts only if f ends there
+    sharply, with x |f| above tol within one panel below E; 0 otherwise
+    (f has decayed).
     """
-    nodes, xf = panels.coarse()
+    nodes, xf = panels.coarse
     live = np.flatnonzero(xf)
     if live.size == 0:
         return 0.0
-    end = nodes[live[-1] + 1] if live[-1] + 1 < nodes.size else panels.x_cut
+    end = panels.x_cut
+    if live[-1] + 1 < nodes.size:
+        lo, end = nodes[live[-1]], nodes[live[-1] + 1]
+        mid = 0.5 * (lo + end)
+        while lo < mid < end:
+            if np.asarray(panels.f(np.array([mid])), dtype=float)[0] != 0.0:
+                lo = mid
+            else:
+                end = mid
+            mid = 0.5 * (lo + end)
     width = 8.0 * panels.x_cut / nodes.size
     return float(end) if xf[nodes > end - width].max() > tol else 0.0
 

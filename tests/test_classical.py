@@ -1,4 +1,4 @@
-"""Kernel tests: series/asymptotic/integral branches, recurrences, seams."""
+"""Kernel tests: Chebyshev-table regions against mpmath, recurrences, seams."""
 
 import importlib.util
 import pathlib
@@ -61,9 +61,10 @@ def test_against_scipy(ours, ref):
 
 @pytest.mark.parametrize("x", [15.9999, 16.0001, 16.9999, 17.0001, 1.9999,
                                2.0001, 19.999, 20.001, 29.99, 30.01,
-                               7.9999, 8.0001])
+                               7.9999, 8.0001, 2.0, 8.0])
 def test_branch_seams_are_continuous(x):
-    for ours, ref in [(cb.j0, sps.j0), (cb.y1, sps.y1), (cb.i0, sps.i0),
+    for ours, ref in [(cb.j0, sps.j0), (cb.j1, sps.j1), (cb.y0, sps.y0),
+                      (cb.y1, sps.y1), (cb.i0, sps.i0), (cb.i1, sps.i1),
                       (cb.k0, sps.k0), (cb.k1, sps.k1)]:
         assert ours(x) == pytest.approx(float(ref(x)), rel=5e-13, abs=1e-300)
 
@@ -73,15 +74,23 @@ _MP_JY = {
     "y0": lambda x: mp.bessely(0, x), "y1": lambda x: mp.bessely(1, x),
 }
 
-# the modulus-phase region of the J/Y kernels, one table from 8 on: its seam
-# with the series at 8, [8, 17) and the old Hankel seam at 17, out to the
-# largest lam * x the transforms reach and far beyond (log-uniform there)
+
+def _log_uniform(lo, hi):
+    return st.floats(0.0, 1.0).map(lambda t: lo * (hi / lo) ** t)
+
+
+# the regions of the J/Y kernels: the tables in x^2 below 8, both sides of
+# their seam with the modulus-phase table at 8, [8, 17) and the old Hankel
+# seam at 17, out to the largest lam * x the transforms reach and far beyond
 _JY_REGIONS = {
+    "small": st.floats(1e-3, 8.0, exclude_max=True),
+    "small-log": _log_uniform(1e-3, 8.0).filter(lambda x: x < 8.0),
+    "seam-8-below": st.floats(7.999, 8.0, exclude_max=True),
     "band": st.floats(8.0, 17.0, exclude_max=True),
     "seam-8": st.floats(8.0, 8.001),
     "seam-17": st.floats(16.999, 17.001),
-    "hankel": st.floats(0.0, 1.0).map(lambda t: 17.0 * (1.3e5 / 17.0) ** t),
-    "far": st.floats(0.0, 1.0).map(lambda t: 1.3e5 * (1e9 / 1.3e5) ** t),
+    "hankel": _log_uniform(17.0, 1.3e5),
+    "far": _log_uniform(1.3e5, 1e9),
 }
 
 
@@ -89,23 +98,65 @@ _JY_REGIONS = {
 @settings(max_examples=30, derandomize=True, database=None, deadline=None)
 @given(data=st.data())
 def test_jy_envelope_error_against_mpmath(region, data):
-    xs = data.draw(st.lists(_JY_REGIONS[region], min_size=1, max_size=3))
-    env = np.sqrt(2.0 / (np.pi * np.array(xs)))
+    # the error scale is the envelope sqrt(2/(pi x)); below 8 it is |C|
+    # where that is larger (Y at small x: at x = 1e-3 the rounding of Y1
+    # alone is up to 2.2e-15 of the envelope), and the bound is 2e-15 there
+    xs = np.array(data.draw(st.lists(_JY_REGIONS[region], min_size=1, max_size=3)))
+    env = np.sqrt(2.0 / (np.pi * xs))
+    bound = np.where(xs < 8.0, 2e-15, 1e-15)
     with mp.workdps(40):
         for name, ref in _MP_JY.items():
-            vals = getattr(cb, name)(np.array(xs))
-            err = [abs(mp.mpf(float(v)) - ref(mp.mpf(x))) for v, x in zip(vals, xs)]
-            assert float(max(np.array(err) / env)) <= 1e-15, (name, xs)
+            vals = getattr(cb, name)(xs)
+            exact = [ref(mp.mpf(float(x))) for x in xs]
+            err = np.array([float(abs(mp.mpf(float(v)) - r)) for v, r in zip(vals, exact)])
+            scale = np.where(xs < 8.0, np.maximum(env, np.abs(np.array(exact, float))), env)
+            assert np.all(err <= bound * scale), (name, xs, err / scale)
 
 
-def test_jy_chebyshev_tables_match_generator():
-    # the checked-in P, Q tables are what the generator prints at 40 digits
-    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "gen_jy_tables.py"
-    spec = importlib.util.spec_from_file_location("gen_jy_tables", path)
+_MP_IK = {
+    "i0": lambda x: mp.besseli(0, x), "i1": lambda x: mp.besseli(1, x),
+    "k0": lambda x: mp.besselk(0, x), "k1": lambda x: mp.besselk(1, x),
+}
+
+# the regions of the I and K kernels and both sides of their seams, I at 8
+# and K at 2, up to 700 (I overflows past 705)
+_IK_REGIONS = {
+    "i-small": ("i", _log_uniform(1e-3, 8.0)),
+    "i-seam-8": ("i", st.floats(7.999, 8.001)),
+    "i-large": ("i", _log_uniform(8.0, 700.0)),
+    "k-small": ("k", _log_uniform(1e-3, 2.0)),
+    "k-seam-2": ("k", st.floats(1.999, 2.001)),
+    "k-large": ("k", _log_uniform(2.0, 700.0)),
+}
+
+
+@pytest.mark.parametrize("region", sorted(_IK_REGIONS))
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_ik_relative_error_against_mpmath(region, data):
+    family, points = _IK_REGIONS[region]
+    xs = np.array(data.draw(st.lists(points, min_size=1, max_size=3)))
+    with mp.workdps(40):
+        for nu in (0, 1):
+            ref = _MP_IK[f"{family}{nu}"]
+            vals = getattr(cb, f"{family}{nu}")(xs)
+            rel = [abs(mp.mpf(float(v)) / ref(mp.mpf(float(x))) - 1) for v, x in zip(vals, xs)]
+            assert float(max(rel)) <= 2e-15, (family, nu, xs)
+
+
+def test_kernel_chebyshev_tables_match_generator():
+    # every checked-in table is what the generator prints at 40 digits, and
+    # every table stack of the kernels is made of them
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "gen_kernel_tables.py"
+    spec = importlib.util.spec_from_file_location("gen_kernel_tables", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    for name, coef in gen.chebyshev_tables(digits=40).items():
+    tables = gen.chebyshev_tables(digits=40)
+    for name, coef in tables.items():
         assert getattr(cb, name) == coef, name
+    rows = {coef for stack in (cb._JY_CHEB, cb._I_CHEB, cb._IE_CHEB, cb._K_CHEB,
+                               cb._KE_CHEB, cb._PQ_CHEB) for coef in map(tuple, stack)}
+    assert rows == set(tables.values())
 
 
 def test_pair_kernels_equal_single_orders():
@@ -125,6 +176,13 @@ def test_pair_kernels_equal_single_orders():
         assert all(np.array_equal(a, b) for a, b in
                    zip(pair(grid), (c0(grid), c1(grid))))
     assert cb.j01(0.0) == (1.0, 0.0)
+    # no kernel value depends on the array it arrives in: singletons equal
+    # a mixed-region array bit for bit, every region and seam of all eight
+    mixed = np.concatenate([np.geomspace(1e-3, 700.0, 241), [2.0, 8.0, 7.9999,
+                            8.0001, 1.9999, 2.0001]])[rng.permutation(247)]
+    for name in ("j0", "j1", "y0", "y1", "i0", "i1", "k0", "k1"):
+        fn = getattr(cb, name)
+        assert np.array_equal(fn(mixed), [fn(float(x)) for x in mixed]), name
 
 
 def test_pq01_reproduces_kernels_through_the_modulus_phase_form():

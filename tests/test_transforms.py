@@ -43,9 +43,20 @@ def test_hankel_roundtrip_smooth():
 
 
 def test_hankel_roundtrip_indicator():
+    from scipy import special
     ind = lambda x: np.where(np.asarray(x, dtype=float) <= 1.0, 1.0, 0.0)
     assert tr.hankel_roundtrip(ind, 0.5, x_cut=1.0) == pytest.approx(1.0, abs=1e-3)
     assert tr.hankel_roundtrip(ind, 1.0, x_cut=1.0) == pytest.approx(0.5, abs=1e-2)
+    # at the default cut the jump at 1 falls inside a panel of the uniform
+    # Gauss grid of lam < 1/2 unless that panel is bisected (g then errs by
+    # 0.034 and the roundtrip by 0.004, flagged converged), and the nodes of
+    # the coarse grid alone put the end of the support at 1.068
+    assert tr._ring(tr._PanelCache(ind, 36.0), 1e-6) == pytest.approx(1.0, abs=1e-15)
+    s = np.array([0.01, 0.3, 0.49, 2.0])
+    g = tr._forward(tr._CLASSICAL, ind, s, None, 0.0, 36.0).values
+    assert np.max(np.abs(g - special.j1(s) / s)) < 1e-6
+    for x, expect in ((0.0, 1.0), (0.5, 1.0), (1.5, 0.0)):
+        assert tr.hankel_roundtrip(ind, x) == pytest.approx(expect, abs=1e-6)
 
 
 def test_hankel_roundtrip_at_and_near_origin():
