@@ -10,8 +10,8 @@ degree d become one dense coefficient array over their power range
 pmin..pmax in steps of g, the gcd of the power gaps (2 for the solution
 series).  Evaluation is then one Horner pass in x^g per log degree, times
 x^pmin and ln(x)^d, instead of a power x**p per term.  ``_horner`` is the
-one polynomial evaluator: ``solutions.eval_jtype_outer`` runs it on the
-jtype coefficients of many lambdas at once.
+one polynomial evaluator: ``solutions._regular_derivs`` runs it on the
+jtype or itype coefficients of many lambdas and orders at once.
 
 A ``DiffOp`` is a sum of terms ``coeff * x**m * D**j``.  Applying one to a
 monomial x**p multiplies by the falling factorial p(p-1)...(p-j+1); the

@@ -11,25 +11,29 @@ for Lambda = lambda^2 (lambda^2 + 8/M), the four-solution basis
 with c = sqrt(lambda^2 + 8/M) and d = 1 + M (lambda/2)^2.  jtype and itype
 extend to x = 0 with value 1.
 
-Each solution is evaluated through two mutually checked paths: the direct
-formula above for z = (scale)*x beyond a switch radius, and the combined
-log-power series below it.  The combination j/i-type subtracts two pieces
-that both tend to d as x -> 0, and the boundary-form calculus needs exact
-bookkeeping of the x^-2 and ln x parts of y/k-type, so the series path is
-what makes values, derivatives, and near-origin residuals trustworthy.
+Each solution takes a small-argument series below a switch in z = scale*x
+and the direct formula from it on.  Derivatives are analytic on both: the
+series is differentiated termwise, and the pair u = C0(z), v = C1(z)/z is
+closed under differentiation, so the n-th derivative of the direct formula
+is a Laurent recurrence in u, v, summed in ascending powers from one table
+of the powers of z (Horner's rule and folding A p_u + B p_v into one
+polynomial both measured less accurate against mpmath).
 
-Derivatives are analytic: the series is differentiated termwise below the
-switch, and above it the pair u = C0(z), v = C1(z)/z is closed under
-differentiation (u' and v' are Laurent-polynomial combinations of u, v),
-so the n-th derivative is a Laurent recurrence evaluated at kernel values.
-No numerical differentiation is used anywhere.
+jtype and itype are power series in x^2 (A&S 9.1.10, 9.6.10).  Their one
+evaluator, ``_regular_derivs``, broadcasts lambda against x and returns
+the rows d^0..d^n for the handles, ``eval_jtype_outer`` and the transforms:
+below z = 4, one long-double coefficient table for the distinct lambdas
+there and one Horner pass in x^2 for all orders; from 4 on, the direct
+formula.  Worst relative error of orders 0-4 against 40-digit mpmath on 9
+(lambda, M) from (0.1, 0.1) to (10, 10): the direct path errs by 5.6e-13
+at z = 1.01, 1.3e-14 at 2.01 and at most 2.9e-15 at 3.99-4.01; the 18-term
+series by at most 1.5e-14 through z = 4 (order 1 at z = 3, lambda = M =
+10, where d = 251) and 1.7e-11 at z = 6.
 
-Below the switch the series and its derivatives run the compiled Horner
-plan of ``LogPowerSeries.evaluate`` (one pass in x^2 per log degree).
-Above it the Laurent polynomials p_n, q_n are summed term by term in
-ascending powers from one table of the powers of z per call: Horner's
-rule and folding A p_u + B p_v into one polynomial both measured less
-accurate there against mpmath (jtype, where a derivative nears a zero).
+ytype and ktype keep their log-power series below z = 1, whose x^-2 and
+ln x parts the boundary-form calculus reads exactly.  Their direct path is
+about as accurate there (within 4.7e-15 on z in [1e-3, 3]), but dearer for
+orders 0-4 on 16384 points below z = 1: ytype 3.0 -> 5.2 ms, ktype 4.0 -> 5.5.
 """
 
 import math
@@ -43,7 +47,8 @@ from . import classical
 from .logseries import LogPowerSeries, _horner
 
 _EG = np.euler_gamma
-_SERIES_SWITCH = 1.0   # use the series path for z = scale*x below this
+_SERIES_SWITCH = 1.0    # ytype, ktype: the log series for z = scale*x below this
+_REGULAR_SWITCH = 4.0   # jtype, itype: the power series for z below this
 _SERIES_TERMS = 18
 
 
@@ -52,6 +57,9 @@ class SolutionKind(str, Enum):
     ytype = "ytype"
     itype = "itype"
     ktype = "ktype"
+
+
+_REGULAR = (SolutionKind.jtype, SolutionKind.itype)
 
 
 @dataclass(frozen=True)
@@ -126,13 +134,13 @@ _SIGNS = {
 }
 
 
-def _structure(kind: SolutionKind, lam: float, params: Params):
-    """Scale a and coefficients (A, B) with sol = A*C0(z) + B*C1(z)/z, z = a x."""
+def _structure(kind: SolutionKind, lam, params: Params):
+    """Scale a and (A, B), elementwise in lam: sol = A*C0(z) + B*C1(z)/z, z = a x."""
     mq = params.M * (lam / 2.0) ** 2
     d = 1.0 + mq
     if kind in (SolutionKind.jtype, SolutionKind.ytype):
         return lam, d, -2.0 * mq
-    c = math.sqrt(lam * lam + 8.0 / params.M)
+    c = np.sqrt(lam * lam + 8.0 / params.M)
     big = c * c * params.M / 2.0
     if kind is SolutionKind.itype:
         return c, -d, big
@@ -176,54 +184,51 @@ def ktype_scale_series(a: float, M: float, nterms: int = _SERIES_TERMS) -> LogPo
     return LogPowerSeries(terms)
 
 
-def _jtype_coeffs(lams, M: float, nterms: int):
-    """Coefficients of x^0, x^2, ..., x^(2 nterms - 2) in the jtype series,
-    one row per lam: t_k ((k + 1) + k M q) / (k + 1), q = lam^2/4, with
-    t_0 = 1 and t_k / t_(k-1) = -q / k^2.  Formed in long double and
-    rounded once, so within about half an ulp where long double is wider
-    than double (the 80-bit format on x86-64)."""
+def _regular_coeffs(kind: SolutionKind, lams, M: float, nterms: int):
+    """Coefficients of x^0, x^2, ..., x^(2 nterms - 2) of jtype or itype,
+    one row per lam: t_k b_k with t_0 = 1, t_k / t_(k-1) = r / k^2, and for
+    q = lam^2/4 (the itype b_k is -d + (M q + 2)/(k + 1), uncancelled)
+        jtype: r = -q,             b_k = ((k + 1) + k M q) / (k + 1)
+        itype: r = q + 2/M = c^2/4, b_k = ((1 - k) - k M q) / (k + 1)
+    Formed in long double and rounded once, so within about half an ulp
+    where long double is wider than double (80-bit on x86-64)."""
     q = np.asarray(lams, dtype=np.longdouble)[:, None] ** 2 / 4
+    M = np.longdouble(M)
     k = np.arange(nterms, dtype=np.longdouble)
+    if kind is SolutionKind.jtype:
+        r, bracket = -q, (k + 1) + k * (M * q)
+    else:
+        r, bracket = q + 2 / M, (1 - k) - k * (M * q)
     ratio = np.ones((q.shape[0], nterms), dtype=np.longdouble)
-    ratio[:, 1:] = -q / k[1:] ** 2
+    ratio[:, 1:] = r / k[1:] ** 2
     t = np.cumprod(ratio, axis=1)
-    return (t * ((k + 1) + k * (np.longdouble(M) * q)) / (k + 1)).astype(float)
+    return (t * bracket / (k + 1)).astype(float)
 
 
 @lru_cache(maxsize=512)
 def _series_cached(kind: SolutionKind, lam: float, M: float, nterms: int):
+    if kind in _REGULAR:
+        row = _regular_coeffs(kind, [lam], M, nterms)[0]
+        return LogPowerSeries({(2 * k, 0): float(c) for k, c in enumerate(row) if c})
+    if kind is SolutionKind.ktype:
+        return ktype_scale_series(math.sqrt(lam * lam + 8.0 / M), M, nterms)
     mq = M * (lam / 2.0) ** 2
     d = 1.0 + mq
-    terms = {}
-    if kind is SolutionKind.jtype:
-        for k, c in enumerate(_jtype_coeffs([lam], M, nterms)[0]):
-            terms[(2 * k, 0)] = float(c)
-    elif kind is SolutionKind.itype:
-        c2 = lam * lam + 8.0 / M
-        for k in range(nterms):
-            base = (c2 / 4.0) ** k / math.factorial(k) ** 2
-            # -d + (mq + 2)/(k + 1), without the cancellation of that form
-            coeff = base * ((1.0 - k) - k * mq) / (k + 1.0)
-            if coeff != 0.0:
-                terms[(2 * k, 0)] = coeff  # k = 0: exactly 1, the value at 0
-    elif kind is SolutionKind.ktype:
-        return ktype_scale_series(math.sqrt(lam * lam + 8.0 / M), M, nterms)
-    else:  # ytype
-        ell = math.log(lam / 2.0)
-        terms[(-2, 0)] = M / np.pi
-        for k in range(nterms):
-            fk = math.factorial(k)
-            fk1 = math.factorial(k + 1)
-            hk = _harmonic(k)
-            sk = hk + _harmonic(k + 1) - 2.0 * _EG
-            base = (2.0 / np.pi) * (-1.0) ** k * (lam * lam / 4.0) ** k
-            blog = 2.0 / np.pi if k == 0 else base * (d / fk ** 2 - mq / (fk * fk1))
-            areg = base * ((ell + _EG) * d / fk ** 2 - d * hk / fk ** 2
-                           - mq * ell / (fk * fk1) + (mq / 2.0) * sk / (fk * fk1))
-            if blog != 0.0:
-                terms[(2 * k, 1)] = blog
-            if areg != 0.0:
-                terms[(2 * k, 0)] = areg
+    ell = math.log(lam / 2.0)
+    terms = {(-2, 0): M / np.pi}
+    for k in range(nterms):
+        fk = math.factorial(k)
+        fk1 = math.factorial(k + 1)
+        hk = _harmonic(k)
+        sk = hk + _harmonic(k + 1) - 2.0 * _EG
+        base = (2.0 / np.pi) * (-1.0) ** k * (lam * lam / 4.0) ** k
+        blog = 2.0 / np.pi if k == 0 else base * (d / fk ** 2 - mq / (fk * fk1))
+        areg = base * ((ell + _EG) * d / fk ** 2 - d * hk / fk ** 2
+                       - mq * ell / (fk * fk1) + (mq / 2.0) * sk / (fk * fk1))
+        if blog != 0.0:
+            terms[(2 * k, 1)] = blog
+        if areg != 0.0:
+            terms[(2 * k, 0)] = areg
     return LogPowerSeries(terms)
 
 
@@ -235,7 +240,8 @@ def solution_series(handle: SolutionHandle, nterms: int = _SERIES_TERMS) -> LogP
 def series_radius(handle: SolutionHandle) -> float:
     """x below which the series path is used (and is highly accurate)."""
     a, _, _ = _structure(handle.kind, handle.lam, handle.params)
-    return np.inf if a == 0.0 else _SERIES_SWITCH / a
+    switch = _REGULAR_SWITCH if handle.kind in _REGULAR else _SERIES_SWITCH
+    return np.inf if a == 0.0 else switch / a
 
 
 # ---------------------------------------------------------------------------
@@ -272,11 +278,6 @@ def _deriv_polys(kind: SolutionKind, order: int):
     return out
 
 
-def _direct_derivs(kind, lam, params, x, max_order):
-    a, A, B = _structure(kind, lam, params)
-    return _direct_derivs_scaled(kind, a, A, B, x, max_order)
-
-
 def ktype_scale_derivs(a: float, M: float, x, max_order: int = 4):
     """Derivative stack of the scale-a decaying solution (see the series)."""
     a2 = a * a
@@ -290,88 +291,130 @@ def _direct_derivs_scaled(kind, a, A, B, x, max_order):
     c0, c1 = _KERNELS[kind]
     u = c0(z)
     v = c1(z) / z
-    powers = {e: z ** e for e in range(-max_order, 2)}
+    (pu, qu), (pv, qv) = _deriv_polys(kind, max_order)
+    powers = {e: z ** e for seq in (pu, qu, pv, qv) for terms in seq
+              for e, _ in terms if e}
 
     def laurent(terms):  # ascending powers, each read from the table
-        return sum(c * powers[e] for e, c in terms)
+        return sum(c * powers[e] if e else c for e, c in terms)
 
-    (pu, qu), (pv, qv) = _deriv_polys(kind, max_order)
+    def fold(*pairs):  # sum of coeff * laurent(terms), skipping 0 and the factor 1
+        parts = [coeff if terms == ((0, 1.0),) else coeff * laurent(terms)
+                 for coeff, terms in pairs if terms]
+        return sum(parts[1:], parts[0])
+
     rows = []
     for n in range(max_order + 1):
-        pn = A * laurent(pu[n]) + B * laurent(pv[n])
-        qn = A * laurent(qu[n]) + B * laurent(qv[n])
-        rows.append(a ** n * (pn * u + qn * v))
+        row = fold((A, pu[n]), (B, pv[n])) * u + fold((A, qu[n]), (B, qv[n])) * v
+        rows.append(row if n == 0 else a ** n * row)
     return np.vstack(rows)
 
 
-def _series_derivs(handle, x, max_order):
-    series = solution_series(handle)
-    rows = [s.evaluate(x) for s in series.derivatives(max_order)]
-    return np.vstack([np.atleast_1d(r) for r in rows])
+def _derivative_table(coef, max_order):
+    """(nterms, max_order + 1, lams) table: [j, n] is the coefficient of
+    x^(2 j + n % 2) in the n-th derivative of the series with coefficients
+    coef (x^0, x^2, ... per lam), zero past its last term; each derivative
+    multiplies x^p by p, in ``LogPowerSeries.derivative``'s order."""
+    nterms = coef.shape[1]
+    power = 2.0 * np.arange(nterms)[:, None]
+    c = coef.T
+    table = np.zeros((nterms, max_order + 1, coef.shape[0]))
+    table[:, 0] = c
+    for n in range(1, max_order + 1):
+        c = (power - (n - 1)) * c
+        drop = (n + 1) // 2  # the terms the derivatives have dropped
+        table[:nterms - drop, n] = c[drop:]
+    return table
+
+
+def _two_paths(z, switch, series, direct, max_order):
+    """Rows d^0..d^max_order: series(mask) where z < switch, direct(mask)
+    elsewhere (mask slice(None) when one path takes every point), stored row
+    by row: numpy's 1-d mask store is far cheaper than the 2-d one."""
+    small = z < switch
+    n_small = np.count_nonzero(small)
+    if n_small in (0, z.size):
+        return np.asarray((series if n_small else direct)(slice(None)))
+    out = np.empty((max_order + 1, z.size))
+    for mask, path in ((small, series), (~small, direct)):
+        for row, vals in zip(out, path(mask)):
+            row[mask] = vals
+    return out
+
+
+def _regular_derivs(kind, lams, xs, params: Params, max_order: int):
+    """Rows d^0..d^max_order of jtype or itype at lams broadcast against xs,
+    shape (max_order + 1,) + the broadcast shape (see the module docstring;
+    odd orders of the series are x times a polynomial in x^2)."""
+    lams, xs = np.asarray(lams, dtype=float), np.asarray(xs, dtype=float)
+    if (lams < 0.0).any():
+        raise ValueError("lambda must be a nonnegative real here")
+    if (xs < 0.0).any():
+        raise ValueError("x must be nonnegative")
+    shape = (max_order + 1,) + np.broadcast(lams, xs).shape
+    if lams.size == 1 or xs.size == 1:  # a single lam or x broadcasts
+        lams, xs = lams.ravel(), xs.ravel()
+    else:
+        lams, xs = (v.ravel() for v in np.broadcast_arrays(lams, xs))
+    a, A, B = _structure(kind, lams, params)
+
+    def part(v, mask):
+        return v if v.size == 1 else v[mask]
+
+    def series(mask):
+        need, pick = part(lams, mask), slice(0, 1)
+        if need.size > 1:
+            need, pick = np.unique(need, return_inverse=True)
+        coef = _regular_coeffs(kind, need, float(params.M), _SERIES_TERMS)
+        x = part(xs, mask)
+        rows = _horner(_derivative_table(coef, max_order)[..., pick], x ** 2)
+        rows[1::2] *= x
+        return rows
+
+    def direct(mask):
+        return _direct_derivs_scaled(kind, part(a, mask), part(A, mask),
+                                     part(B, mask), part(xs, mask), max_order)
+
+    out = _two_paths(a * xs, _REGULAR_SWITCH, series, direct, max_order)
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # public evaluation
 
-def _validate_x(handle, x):
+def _derivs(handle, x, max_order):
+    """(rows d^0..d^max_order of the solution at x, whether x is a scalar)."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    if handle.kind in (SolutionKind.ytype, SolutionKind.ktype):
-        if np.any(arr <= 0.0):
-            raise ValueError(f"{handle.kind.value} is defined on x > 0 only")
-    elif np.any(arr < 0.0):
-        raise ValueError("x must be nonnegative")
-    return arr, scalar
+    arr = np.atleast_1d(arr)
+    kind = handle.kind
+    if kind in _REGULAR:  # _regular_derivs checks x
+        return _regular_derivs(kind, handle.lam, arr, handle.params, max_order), scalar
+    if np.any(arr <= 0.0):
+        raise ValueError(f"{kind.value} is defined on x > 0 only")
+    a, A, B = _structure(kind, handle.lam, handle.params)
+
+    def series(mask):
+        stack = solution_series(handle).derivatives(max_order)
+        return [s.evaluate(arr[mask]) for s in stack]
+
+    return _two_paths(a * arr, _SERIES_SWITCH, series,
+                      lambda m: _direct_derivs_scaled(kind, a, A, B, arr[m], max_order),
+                      max_order), scalar
 
 
 def eval_solution(handle: SolutionHandle, x):
     """Value of the solution at x (vectorized; scalar in, float out)."""
-    arr, scalar = _validate_x(handle, x)
-    a, _, _ = _structure(handle.kind, handle.lam, handle.params)
-    z = a * arr
-    small = z < _SERIES_SWITCH
-    out = np.empty_like(arr)
-    if np.any(small):
-        out[small] = solution_series(handle).evaluate(arr[small])
-    if np.any(~small):
-        out[~small] = _direct_derivs(handle.kind, handle.lam, handle.params,
-                                     arr[~small], 0)[0]
-    return float(out[0]) if scalar else out
+    out, scalar = _derivs(handle, x, 0)
+    return float(out[0, 0]) if scalar else out[0]
 
 
 def eval_jtype_outer(lams, xs, params: Params):
     """J_lam(x) with lams broadcast against xs: pass lams[:, None] and
     xs[None, :] for the outer grid, or two arrays of one shape for
-    (lam, x) pairs.
-
-    Each entry takes the same path and arithmetic as ``eval_solution`` on
-    the handle (jtype, lam): below the switch, Horner in x^2 on the series
-    coefficients, which one ``_jtype_coeffs`` call builds for every
-    distinct lam that needs them (the ``_series_cached`` memo would only
-    churn on a stream of quadrature lams); above it, A*J0(z) + B*J1(z)/z
-    with one J0 and one J1 call.
-    """
-    lams, xs = np.broadcast_arrays(np.asarray(lams, dtype=float),
-                                   np.asarray(xs, dtype=float))
-    if np.any(lams < 0.0):
-        raise ValueError("lambda must be a nonnegative real here")
-    if np.any(xs < 0.0):
-        raise ValueError("x must be nonnegative")
-    z = lams * xs
-    out = np.empty_like(z)
-    small = z < _SERIES_SWITCH
-    if np.any(small):
-        need, row_of = np.unique(lams[small], return_inverse=True)
-        coef = _jtype_coeffs(need, float(params.M), _SERIES_TERMS)
-        out[small] = _horner(np.take(coef.T, row_of, axis=1), xs[small] ** 2)
-    big = ~small
-    if np.any(big):
-        mq = params.M * (lams[big] / 2.0) ** 2
-        zb = z[big]
-        out[big] = (1.0 + mq) * classical.j0(zb) \
-            + (-2.0 * mq) * (classical.j1(zb) / zb)
-    return out
+    (lam, x) pairs.  Order 0 of ``_regular_derivs``, so each entry is
+    ``eval_solution`` on the handle (jtype, lam) bit for bit."""
+    return _regular_derivs(SolutionKind.jtype, lams, xs, params, 0)[0]
 
 
 def eval_solution_derivs(handle: SolutionHandle, x, max_order: int = 4):
@@ -381,14 +424,5 @@ def eval_solution_derivs(handle: SolutionHandle, x, max_order: int = 4):
     """
     if not (0 <= max_order <= 4):
         raise ValueError("max_order must lie in 0..4")
-    arr, scalar = _validate_x(handle, x)
-    a, _, _ = _structure(handle.kind, handle.lam, handle.params)
-    z = a * arr
-    small = z < _SERIES_SWITCH
-    out = np.empty((max_order + 1, arr.size))
-    if np.any(small):
-        out[:, small] = _series_derivs(handle, arr[small], max_order)
-    if np.any(~small):
-        out[:, ~small] = _direct_derivs(handle.kind, handle.lam, handle.params,
-                                        arr[~small], max_order)
+    out, scalar = _derivs(handle, x, max_order)
     return out[:, 0] if scalar else out

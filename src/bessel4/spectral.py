@@ -27,9 +27,8 @@ import numpy as np
 
 from .forms import BoundaryData, FnBundle, boundary_data, residual_expression
 from .logseries import LogPowerSeries
-from .solutions import Params, ktype_scale_derivs, ktype_scale_series
-
-_SERIES_SWITCH = 1.0
+from .solutions import (_SERIES_SWITCH, Params, _two_paths, ktype_scale_derivs,
+                        ktype_scale_series)
 
 
 class DegenerateDecayError(ValueError):
@@ -103,17 +102,12 @@ class DecayingCandidateBundle(FnBundle):
 
     def derivs(self, x, order=4):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((order + 1, arr.size))
-        small = arr < self.series_valid_below
-        if np.any(small):
-            stack = self._series.derivatives(order)
-            out[:, small] = np.vstack(
-                [np.atleast_1d(s.evaluate(arr[small])) for s in stack])
-        if np.any(~small):
-            xs = arr[~small]
-            out[:, ~small] = ktype_scale_derivs(self.a_minus, self.params.M, xs, order) \
-                - ktype_scale_derivs(self.a_plus, self.params.M, xs, order)
-        return out
+        M = self.params.M
+        return _two_paths(
+            arr, self.series_valid_below,
+            lambda m: [s.evaluate(arr[m]) for s in self._series.derivatives(order)],
+            lambda m: ktype_scale_derivs(self.a_minus, M, arr[m], order)
+            - ktype_scale_derivs(self.a_plus, M, arr[m], order), order)
 
     def local_series(self, x=0.0):
         if np.all(np.atleast_1d(x) < self.series_valid_below):

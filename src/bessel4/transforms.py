@@ -8,7 +8,8 @@ lam (1 + M (lam/2)^2)^(-2):
     inverse:  f(x)   = integral J_lam(x) g(lam) dn(lam),  f(0) = integral g dn
 
 with J_lam the regular fourth-order solution normalized to 1 at the
-origin.  The classical order-zero pair is the member with kernel
+origin, from the one jtype evaluator of ``solutions`` (its power series
+below lam x = 4).  The classical order-zero pair is the member with kernel
 J0(lam x), weight x on both sides and no atom, so one engine runs both
 pairs, each given by its kernel and the measures of its two sides.
 
@@ -46,8 +47,8 @@ exactly cancels the M/2 atom, leaving
 
     kernel(lam, mu, X) = weight(lam) * [J_lam, J_mu](X) / (L(lam) - L(mu)),
 
-an O(1) expression in kernel evaluations at X.  A quadrature route is
-kept for cross-checks.
+an O(1) expression in derivatives 0-3 of J_lam and J_mu at X, at any
+lam X.  A quadrature route is kept for cross-checks.
 """
 
 import math
@@ -60,8 +61,8 @@ from . import classical
 from .measures import (AtomDensityMeasure, inner_product, lebesgue_x,
                        spectral_measure)
 from .quadrature import _gauss, adaptive_quad, oscillatory_semi_infinite
-from .solutions import (Params, SolutionHandle, SolutionKind,
-                        _direct_derivs_scaled, eval_jtype_outer, eval_solution,
+from .solutions import (Params, SolutionHandle, SolutionKind, _regular_derivs,
+                        _structure, eval_jtype_outer, eval_solution,
                         spectral_value)
 
 
@@ -75,20 +76,6 @@ class TransformResult:
     grid: np.ndarray
     values: np.ndarray
     diagnostics: dict = field(default_factory=dict)
-
-
-def jtype_derivs_multi(lams, x, params: Params, order=3):
-    """x-derivative stack of J_lam at fixed x, vectorized over lam.
-
-    Valid on the direct-formula region (lam * x above the series switch);
-    the delta-family kernels only call it with large X.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(lams * x < 0.5):
-        raise ValueError("jtype_derivs_multi needs lam*x >= 0.5")
-    mq = params.M * (lams / 2.0) ** 2
-    return _direct_derivs_scaled(SolutionKind.jtype, lams, 1.0 + mq, -2.0 * mq,
-                                 x, order)
 
 
 # ---------------------------------------------------------------------------
@@ -110,25 +97,16 @@ class _Pair:
     lam_cap: float = np.inf
 
 
-def _j0_kernel(lams, xs):
-    return classical.j0(np.multiply(lams, xs))
-
-
-def _j0_coeffs(lams):
-    return np.ones_like(lams), np.zeros_like(lams)
-
-
 # the classical order-zero pair: kernel J0(lam x), weight x on both sides
-_CLASSICAL = _Pair(_j0_kernel, _j0_coeffs, 0.0, lebesgue_x(), lam_cap=1000.0)
+_CLASSICAL = _Pair(lambda lams, xs: classical.j0(np.multiply(lams, xs)),
+                   lambda lams: (np.ones_like(lams), np.zeros_like(lams)),
+                   0.0, lebesgue_x(), lam_cap=1000.0)
 
 
 def _generalized_pair(params: Params) -> _Pair:
     """Kernel J_lam(x), the jump space's atom M/2 and the spectral measure."""
-    def coeffs(lams):
-        mq = params.M * (lams / 2.0) ** 2
-        return 1.0 + mq, -2.0 * mq
-
-    return _Pair(lambda lams, xs: eval_jtype_outer(lams, xs, params), coeffs,
+    return _Pair(lambda lams, xs: eval_jtype_outer(lams, xs, params),
+                 lambda lams: _structure(SolutionKind.jtype, lams, params)[1:],
                  params.M / 2.0, spectral_measure(params.M))
 
 
@@ -486,22 +464,15 @@ def _forward(pair: _Pair, f, lams, f0, tol, x_cut) -> TransformResult:
 
 
 class _ForwardEvaluator:
-    """Memoized g(lam) of one pair for use inside lambda-side quadratures."""
+    """g(lam) of one pair for use inside lambda-side quadratures."""
 
     def __init__(self, f, pair: _Pair, f0=None, x_cut=40.0):
         self.pair = pair
         self.f0, self.atom = _origin(pair, f, f0)
-        self.cache = {}
         self.panels = _PanelCache(f, x_cut)
 
     def __call__(self, lams):
-        lams = np.atleast_1d(np.asarray(lams, dtype=float))
-        keys = [float(lam) for lam in lams]
-        misses = list(dict.fromkeys(k for k in keys if k not in self.cache))
-        if misses:
-            vals = _forward_batch(self.panels, misses, self.pair, self.atom)
-            self.cache.update(zip(misses, vals.tolist()))
-        return np.array([self.cache[k] for k in keys], dtype=float)
+        return _forward_batch(self.panels, lams, self.pair, self.atom)
 
 
 def _ring(panels: _PanelCache, tol):
@@ -767,8 +738,8 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
             max_panels=20000).value
         return weight * (val + M / 2.0)
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
-    dl = jtype_derivs_multi(lmb, X, params, order=3)  # broadcast over mu
-    dm = jtype_derivs_multi(mu_arr, X, params, order=3)
+    dl = _regular_derivs(SolutionKind.jtype, lmb, X, params, 3)  # broadcast over mu
+    dm = _regular_derivs(SolutionKind.jtype, mu_arr, X, params, 3)
     w = 9.0 / X + 8.0 * X / M
     sym = (dm[0] * (X * dl[3] + dl[2]) - (X * dm[3] + dm[2]) * dl[0]
            - X * (dm[1] * dl[2] - dm[2] * dl[1])

@@ -69,15 +69,15 @@ def test_ytype_ktype_reject_origin():
 @pytest.mark.parametrize("lam,M", GRID)
 def test_series_matches_direct_formula_at_seam(kind, lam, M):
     h = SolutionHandle(SolutionKind(kind), lam, Params(M))
-    a, _, _ = S._structure(h.kind, lam, h.params)
-    for z in (1e-2, 0.9999):
-        x = np.array([z / a])
-        v_series = S.solution_series(h).evaluate(x)
-        v_direct = S._direct_derivs(h.kind, lam, h.params, x, 0)[0]
-        assert v_series[0] == pytest.approx(v_direct[0], rel=2e-12, abs=1e-14)
-    x = np.array([0.5 / a, 1.5 / a])
-    d_series = S._series_derivs(h, x, 4)
-    d_direct = S._direct_derivs(h.kind, lam, h.params, x, 4)
+    a, A, B = S._structure(h.kind, lam, h.params)
+    radius, series = S.series_radius(h), S.solution_series(h)
+    for t in (1e-2, 0.9999):
+        x = np.array([t * radius])
+        v_direct = S._direct_derivs_scaled(h.kind, a, A, B, x, 0)[0]
+        assert series.evaluate(x)[0] == pytest.approx(v_direct[0], rel=2e-12, abs=1e-14)
+    x = np.array([0.5 * radius, 1.5 * radius])
+    d_series = np.vstack([s.evaluate(x) for s in series.derivatives(4)])
+    d_direct = S._direct_derivs_scaled(h.kind, a, A, B, x, 4)
     assert np.max(np.abs(d_series - d_direct)
                   / (np.abs(d_direct) + 1e-10)) < 5e-11
 
@@ -218,18 +218,22 @@ def _mp_solution_derivs(kind, lam, M, x, n=4):
 
 _Z_BELOW = (1e-3, 1e-2, 0.05, 0.2, 0.5, 0.8, 0.999)
 _Z_ABOVE = (1.0, 1.001, 1.05, 1.3)
+_Z_SEAM = (3.99, 3.999, 4.0, 4.001, 4.01)  # the jtype/itype switch
 # bounds on the worst relative error of derivatives 0..4 over 6 seeded
-# (lam, M) per kind, (series side, direct side): about twice the errors
-# measured when these tests were added, (4.4e-16, 8.5e-14) for jtype,
-# (3.0e-15, 2.9e-15) ytype, (2.4e-15, 6.8e-13) itype, (6.4e-16, 7.5e-16) ktype
-_MP_BOUNDS = {"jtype": (1e-15, 2e-13), "ytype": (6e-15, 6e-15),
-              "itype": (5e-15, 1.4e-12), "ktype": (1.3e-15, 1.5e-15)}
+# (lam, M) per kind on each z set: about twice the errors measured with
+# the jtype/itype switch at z = 4, (below, above, seam) = (3.6e-16, 5.1e-16,
+# 6.6e-15) for jtype, (2.2e-15, 2.9e-15, 8.9e-15) ytype, (2.6e-16, 2.1e-16,
+# 2.4e-15) itype, (2.8e-16, 6.7e-16, 7.7e-16) ktype.  With the switch at
+# z = 1 the direct path read 1.9e-13 (jtype) and 2.4e-13 (itype) above it.
+_MP_BOUNDS = {"jtype": (1e-15, 1e-15, 1.3e-14), "ytype": (6e-15, 6e-15, 1.8e-14),
+              "itype": (5e-15, 5e-16, 5e-15), "ktype": (1.3e-15, 1.5e-15, 1.6e-15)}
 
 
 @pytest.mark.parametrize("kind", ["jtype", "ytype", "itype", "ktype"])
 def test_derivatives_match_mpmath_across_switch(kind):
     rng = np.random.default_rng(2026)
-    zs = np.array(_Z_BELOW + _Z_ABOVE)
+    sets = (_Z_BELOW, _Z_ABOVE, _Z_SEAM)
+    zs = np.concatenate(sets)
     worst = np.zeros(len(zs))
     for _ in range(6):
         lam, M = np.exp(rng.uniform(np.log(0.1), np.log(10.0), 2))
@@ -243,10 +247,9 @@ def test_derivatives_match_mpmath_across_switch(kind):
                 err = max(float(abs((mp.mpf(float(got[n, j])) - ref[n]) / ref[n]))
                           for n in range(5))
                 worst[j] = max(worst[j], err)
-    below, above = worst[:len(_Z_BELOW)].max(), worst[len(_Z_BELOW):].max()
-    bound_below, bound_above = _MP_BOUNDS[kind]
-    assert below <= bound_below, below
-    assert above <= bound_above, above
+    ends = np.cumsum([len(z) for z in sets])
+    for part, bound in zip(np.split(worst, ends[:-1]), _MP_BOUNDS[kind]):
+        assert part.max() <= bound, (part.max(), bound)
 
 
 def test_series_cost_tool_runs_at_small_size(capsys):
@@ -257,12 +260,38 @@ def test_series_cost_tool_runs_at_small_size(capsys):
     for kind in SolutionKind:
         h = SolutionHandle(kind, tool.LAM, Params(tool.M))
         a, _, _ = S._structure(h.kind, h.lam, h.params)
-        assert np.all(a * tool.grid(h, "series", 64) < 1.0)
-        assert np.all(a * tool.grid(h, "direct", 64) >= 1.0)
+        switch = a * S.series_radius(h)
+        assert np.all(a * tool.grid(h, "series", 64) < switch)
+        assert np.all(a * tool.grid(h, "direct", 64) >= switch)
     tool.main(["64"])
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 6
     for kind, line in zip(SolutionKind, lines[2:]):
         cells = line.split()
-        assert cells[0] == kind.value and len(cells) == 5
+        assert cells[0] == kind.value and len(cells) == 6
         assert all(float(c) > 0.0 for c in cells[1:])
+
+
+@pytest.mark.parametrize("kind", ["jtype", "itype"])
+def test_regular_evaluator_pairs_outer_grid_and_handles(kind):
+    P = Params(0.7)
+    lams = np.array([0.0, 0.05, 0.9, 3.0, 40.0])
+    # z = a x crosses the switch at 4 for every lam but 0
+    zs = np.array([0.0, 0.3, 1.0, 3.99, 3.9999999, 4.0, 4.0000001, 4.01, 9.0, 60.0])
+    for order in range(5):
+        a, _, _ = S._structure(SolutionKind(kind), lams, P)
+        xs = np.outer(1.0 / np.where(a > 0.0, a, 1.0), zs)
+        outer = S._regular_derivs(SolutionKind(kind), lams[:, None], xs, P, order)
+        assert outer.shape == (order + 1,) + xs.shape
+        # (lam, x) pairs in any order read the entries of the outer grid
+        pair_lams = np.broadcast_to(lams[:, None], xs.shape).ravel()
+        perm = np.random.default_rng(order).permutation(pair_lams.size)
+        pairs = S._regular_derivs(SolutionKind(kind), pair_lams[perm],
+                                  xs.ravel()[perm], P, order)
+        assert np.array_equal(pairs, outer.reshape(order + 1, -1)[:, perm])
+        # and each row of lam is the handle path
+        for i, lam in enumerate(lams):
+            h = SolutionHandle(SolutionKind(kind), lam, P)
+            assert np.array_equal(eval_solution_derivs(h, xs[i], order), outer[:, i])
+    if kind == "jtype":
+        assert np.array_equal(S.eval_jtype_outer(lams[:, None], xs, P), outer[0])

@@ -193,6 +193,14 @@ def test_generalized_kernel_closed_form_vs_quadrature():
     assert closed == pytest.approx(quad, abs=1e-7)
 
 
+@pytest.mark.parametrize("X", [2.0, 0.3])
+def test_generalized_kernel_closed_form_at_small_X(X):
+    # lam X = 0.3 lies below the old direct-only guard at 0.5
+    closed = tr.ortho_kernel_generalized(1.0, 2.0, P1, X)
+    quad = tr.ortho_kernel_generalized(1.0, 2.0, P1, X, method="quad")
+    assert closed == pytest.approx(quad, rel=1e-13)
+
+
 def test_generalized_kernel_continuous_near_diagonal():
     vals = [tr.ortho_kernel_generalized(1.0, 1.0 + d, P1, 20.0)
             for d in (1e-3, 5e-4, 2.5e-4)]
@@ -234,15 +242,15 @@ def test_fixture_suite_contents():
 
 def test_jtype_multi_evaluators_match_handles():
     from bessel4.solutions import SolutionHandle, SolutionKind, \
-        eval_jtype_outer, eval_solution, eval_solution_derivs
+        _regular_derivs, eval_jtype_outer, eval_solution, eval_solution_derivs
     lams = np.array([0.3, 1.0, 2.5])
     x = 7.0
     multi = eval_jtype_outer(lams[:, None], x, P1)[:, 0]
     single = [eval_solution(SolutionHandle(SolutionKind.jtype, l, P1), x)
               for l in lams]
     assert np.allclose(multi, single, rtol=1e-13)
-    # lam * x runs from 0.125 to 2 across the series switch at 1; below
-    # the switch the direct formula loses digits to cancellation
+    # lam * x runs from 0.125 to 2, below the series switch at 4, where
+    # the direct formula loses digits to cancellation
     P2 = Params(2.0)
     near = np.array([25.0, 60.0, 150.0, 400.0])
     multi = eval_jtype_outer(near[:, None], 0.005, P2)[:, 0]
@@ -257,11 +265,15 @@ def test_jtype_multi_evaluators_match_handles():
     assert np.array_equal(eval_jtype_outer(pair_lams.ravel()[flip],
                                            pair_xs.ravel()[flip], P2),
                           outer.ravel()[flip])
-    dm = tr.jtype_derivs_multi(lams, x, P1, order=3)
-    for i, l in enumerate(lams):
-        ds = eval_solution_derivs(SolutionHandle(SolutionKind.jtype, l, P1),
-                                  x, 3)
-        assert np.allclose(dm[:, i], ds, rtol=1e-12)
+    # the derivative stack of the orthogonality kernels, over lam at fixed
+    # x, lam x from 0.01 (below the old direct-only guard at 0.5) to 17.5
+    for x in (7.0, 0.05):
+        multi_lams = np.concatenate([lams, [0.2, 0.05]])
+        dm = _regular_derivs(SolutionKind.jtype, multi_lams, x, P1, 3)
+        for i, l in enumerate(multi_lams):
+            ds = eval_solution_derivs(SolutionHandle(SolutionKind.jtype, l, P1),
+                                      x, 3)
+            assert np.allclose(dm[:, i], ds, rtol=1e-12, atol=0.0)
 
 
 def test_generalized_inverse_of_zero_is_zero():

@@ -1,12 +1,18 @@
-"""Print the cost per point of the solution evaluation, per kind and path.
+"""Print the cost of the solution evaluation, per kind and path.
 
 For each of the four kinds the script times ``eval_solution_derivs`` at
-max_order 0 and 4 on two grids of POINTS points each, z = scale * x
-log-spaced on [1e-3, 1) (the series path below the switch at z = 1) and
-on [1.001, 600] (the direct path), and prints the median over REPEATS calls
-in ns per point.  The solution series is built by a warm-up call first,
-so the series column is the cost of evaluating it, not of building it.
-Run from the root of a checkout (numpy only):
+max_order 0 and 4 on two grids of POINTS points each, x log-spaced on
+[1e-3, 1) times ``series_radius`` (the series path below the switch) and
+on [1.001, 150] times it (the direct path; with the switch at z = 4 that
+keeps z = scale * x below 600, short of the overflow of I at 705), and
+prints the median over REPEATS calls in ns per point.  The last column is the median time of one
+CALL_POINTS-point call at max_order 4, x log-spaced on [1e-3, 150] times
+the radius across both paths, in us per call: the call size of the
+operator-calculus benchmark workload, where the per-call overhead counts.
+A warm-up call comes first, so the ytype and ktype series columns are the
+cost of evaluating their memoized series, not of building it; jtype and
+itype build their coefficient table in every call.  Run from the root of
+a checkout (numpy only):
 
     python tools/series_cost.py [points]
 """
@@ -23,47 +29,55 @@ from bessel4.solutions import (Params, SolutionHandle, SolutionKind,  # noqa: E4
                                eval_solution_derivs, series_radius)
 
 POINTS = 16384
+CALL_POINTS = 16
 REPEATS = 7
 LAM, M = 1.3, 0.7
 ORDERS = (0, 4)
-Z_RANGES = {"series": (1e-3, 1.0), "direct": (1.001, 600.0)}
+# x ranges in units of series_radius
+X_RANGES = {"series": (1e-3, 1.0), "direct": (1.001, 150.0), "call": (1e-3, 150.0)}
 
 
 def grid(handle, path, points):
-    """x grid of the path: z log-spaced on its range."""
-    lo, hi = Z_RANGES[path]
-    z = np.geomspace(lo, hi, points, endpoint=path == "direct")
-    return z * series_radius(handle)
+    """x grid of the path: log-spaced on its range times the series radius."""
+    lo, hi = X_RANGES[path]
+    x = np.geomspace(lo, hi, points, endpoint=path != "series")
+    return x * series_radius(handle)
 
 
-def ns_per_point(handle, x, order, repeats=REPEATS):
+def seconds(handle, x, order, repeats=REPEATS):
+    """Median seconds of one ``eval_solution_derivs`` call, after a warm-up."""
     eval_solution_derivs(handle, x, order)
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
         eval_solution_derivs(handle, x, order)
         times.append(time.perf_counter() - start)
-    return 1e9 * float(np.median(times)) / x.size
+    return float(np.median(times))
 
 
 def measure(points=POINTS, repeats=REPEATS):
-    """{(kind, path, order): ns per point} at (LAM, M)."""
+    """{(kind, path, order): ns per point, (kind, "call", 4): us per call}
+    at (LAM, M)."""
     out = {}
     for kind in SolutionKind:
         handle = SolutionHandle(kind, LAM, Params(M))
-        for path in Z_RANGES:
+        for path in ("series", "direct"):
             x = grid(handle, path, points)
             for order in ORDERS:
-                out[(kind.value, path, order)] = ns_per_point(handle, x, order,
-                                                              repeats)
+                out[(kind.value, path, order)] = \
+                    1e9 * seconds(handle, x, order, repeats) / x.size
+        x = grid(handle, "call", CALL_POINTS)
+        out[(kind.value, "call", 4)] = 1e6 * seconds(handle, x, 4, repeats)
     return out
 
 
 def main(argv=()):
     points = int(argv[0]) if argv else POINTS
     cost = measure(points)
-    cols = [(path, order) for path in Z_RANGES for order in ORDERS]
-    print(f"ns per point, {points} points, lam = {LAM}, M = {M}")
+    cols = [(path, order) for path in ("series", "direct") for order in ORDERS]
+    cols.append(("call", 4))
+    print(f"ns per point at {points} points (us per call at {CALL_POINTS}), "
+          f"lam = {LAM}, M = {M}")
     print(f"{'kind':>6} " + " ".join(f"{p + ' d' + str(o):>10}" for p, o in cols))
     for kind in SolutionKind:
         print(f"{kind.value:>6} "
