@@ -29,12 +29,16 @@ I/K errors are relative.
   degree 23 in 4/x - 1.  Error at most 7.5e-16 up to 700.
 
 ``j01`` and ``y01`` return both orders from one Clenshaw pass per
-region.  A value does not depend on the array it arrives in.  At 10^4
-points a region costs 70 to 90 ns per point (150 to 175 for the
-modulus-phase form, with its cos and sin), and a 16-point call 76 to
-200 us (README, "Numerical notes").  Everything is vectorized over numpy
-arrays; scalars in give floats out.  All functions are pure and safe for
-concurrent use.
+region.  A value does not depend on the array it arrives in; an array
+whose points all lie in one region goes to it whole, without masks or a
+zero-filled output, and the coefficient columns of every table are laid
+out once, at import.  At 10^4 points a region costs 35 to 80 ns per
+point (about 125 for the modulus-phase form, with its cos and sin), and
+a 16-point call in one region 70 to 140 us, most of it three numpy calls
+per table degree (perfbench/probe.py, median of 7 runs on a shared 2-CPU
+x86-64 box; README, "Numerical notes").  Everything is vectorized over numpy arrays; scalars in give
+floats out.  No kernel writes to its argument.  All functions are pure
+and safe for concurrent use.
 """
 
 from dataclasses import dataclass
@@ -190,33 +194,54 @@ _KE_CHEB = np.array([_K0E_CHEB, _K1E_CHEB])
 _PQ_CHEB = np.array([_P0_CHEB, _XQ0_CHEB, _P1_CHEB, _XQ1_CHEB])
 
 
-def _clenshaw(table, t2):
-    """The Chebyshev series of every row of ``table`` at t = t2/2, one row
-    of values per table row, each shaped like t2.  One Clenshaw pass serves
-    all rows, in place on four buffers; a row's values do not depend on the
-    other rows or on the other points."""
-    coef = table[:, :, None]
-    shape = table.shape[:1] + np.shape(t2)
-    t2 = np.tile(np.ravel(t2), (len(table), 1))  # the buffers' shape
-    b1 = np.repeat(coef[:, -1], t2.shape[1], axis=1)
-    b2 = np.zeros_like(t2)
-    tmp = np.empty_like(t2)
-    for k in range(coef.shape[1] - 2, 0, -1):
+def _stacks(table, rows=list):
+    """{orders: columns} for each tuple of orders a kernel asks for: the
+    coefficient columns of the rows of ``table`` that ``rows(orders)``
+    names, highest degree first, each shaped (rows, 1) to broadcast
+    against the points."""
+    return {orders: [np.ascontiguousarray(c[:, None])
+                     for c in table[rows(orders)].T[::-1]]
+            for orders in ((0,), (1,), (0, 1))}
+
+
+# built once: a kernel call reads its columns, it does not index the tables
+_J_COLS = _stacks(_JY_CHEB)
+_Y_COLS = _stacks(_JY_CHEB, lambda orders: [nu + 2 * r for nu in orders
+                                            for r in (0, 1)])
+_PQ_COLS = _stacks(_PQ_CHEB, lambda orders: [r for nu in orders
+                                             for r in (2 * nu, 2 * nu + 1)])
+_I_COLS, _IE_COLS = _stacks(_I_CHEB), _stacks(_IE_CHEB)
+_K_COLS, _KE_COLS = _stacks(_K_CHEB), _stacks(_KE_CHEB)
+
+
+def _clenshaw(cols, t2):
+    """The Chebyshev series of every row of a table stack at t = t2/2, one
+    row of values per table row, each shaped like t2; ``cols`` are the
+    stack's columns from ``_stacks``.  One Clenshaw pass serves all rows,
+    in place on three buffers, with t2 broadcast against the columns; a
+    row's values do not depend on the other rows or on the other points."""
+    shape = (len(cols[0]),) + np.shape(t2)
+    t2 = np.ravel(t2)
+    b2 = cols[0] * t2 + cols[1]  # the first step, from b = 0 above the top
+    b1 = b2 * t2
+    b1 -= cols[0]
+    b1 += cols[2]
+    tmp = np.empty_like(b1)
+    for c in cols[3:-1]:
         np.multiply(b1, t2, out=tmp)
         tmp -= b2
-        tmp += coef[:, k]
+        tmp += c
         b1, b2, tmp = tmp, b1, b2
-    t2 *= 0.5
-    np.multiply(b1, t2, out=tmp)
+    np.multiply(b1, 0.5 * t2, out=tmp)
     tmp -= b2
-    tmp += coef[:, 0]
+    tmp += cols[-1]
     return tmp.reshape(shape)
 
 
 def _pq01(z):
     """(P0, Q0, P1, Q1) at z >= 8 from the table of the J/Y kernels."""
     z = np.asarray(z, dtype=float)
-    p0, xq0, p1, xq1 = _clenshaw(_PQ_CHEB, 256.0 / z ** 2 - 2.0)
+    p0, xq0, p1, xq1 = _clenshaw(_PQ_COLS[(0, 1)], 256.0 / z ** 2 - 2.0)
     return p0, xq0 / z, p1, xq1 / z
 
 
@@ -226,9 +251,9 @@ def _jy_small(x, orders, kind):
     J1 = x T; Y_nu = x^nu T plus (2/pi) ln(x/2) J_nu and, for Y1,
     -2/(pi x).  Y reads the J rows too."""
     y = kind == "Y"
-    rows = [nu + 2 * r for nu in orders for r in range(1 + y)]
+    cols = (_Y_COLS if y else _J_COLS)[orders]
     x2 = x * x
-    c = _clenshaw(_JY_CHEB[rows], x2 / 16.0 - 2.0)  # 2t, exactly
+    c = _clenshaw(cols, x2 / 16.0 - 2.0)  # 2t, exactly
     j = [x * t if nu else 1.0 + x2 / (1.0 + x2 / 4.0) * t
          for t, nu in zip(c[::1 + y], orders)]
     if not y:
@@ -247,8 +272,7 @@ def _jy_modphase(x, orders, kind):
     error at the rounding of cos and sin however large x is.  One sqrt, cos
     and sin per point serve every order.
     """
-    rows = [r for nu in orders for r in (2 * nu, 2 * nu + 1)]
-    pq = _clenshaw(_PQ_CHEB[rows], 256.0 / x ** 2 - 2.0)  # 2t, exactly
+    pq = _clenshaw(_PQ_COLS[orders], 256.0 / x ** 2 - 2.0)  # 2t, exactly
     c, s = np.cos(x), np.sin(x)
     c, s = c + s, s - c  # now sqrt(2) cos w, sqrt(2) sin w for w = x - pi/4
     amp = 1.0 / np.sqrt(np.pi * x)
@@ -265,19 +289,19 @@ def _i_small(x, orders):
     """I_nu at 0 <= x < 8: e^(x^2/12) (1 + x^2 T) for I0, whose 1 is exact
     and free of the table's rounding near 0, and x e^(x^2/12) T for I1."""
     x2 = x * x
-    c = _clenshaw(_I_CHEB[list(orders)], x2 / 16.0 - 2.0)  # 2t, exactly
+    c = _clenshaw(_I_COLS[orders], x2 / 16.0 - 2.0)  # 2t, exactly
     w = np.exp(x2 / 12.0)
     return [x * (w * t) if nu else w * (1.0 + x2 * t) for t, nu in zip(c, orders)]
 
 
 def _i_large(x, orders):
     """I_nu at 8 <= x <= 705: e^x T / sqrt(x)."""
-    return np.exp(x) * _clenshaw(_IE_CHEB[list(orders)], 32.0 / x - 2.0) / np.sqrt(x)
+    return np.exp(x) * _clenshaw(_IE_COLS[orders], 32.0 / x - 2.0) / np.sqrt(x)
 
 
 def _k_small(x, orders):
     """K_nu at 0 < x < 2: T - ln(x/2) I0 for K0, T/x + ln(x/2) I1 for K1."""
-    c = _clenshaw(_K_CHEB[list(orders)], x * x - 2.0)  # 2t, exactly
+    c = _clenshaw(_K_COLS[orders], x * x - 2.0)  # 2t, exactly
     ell = np.log(x / 2.0)
     return [t / x + ell * i if nu else t - ell * i
             for t, i, nu in zip(c, _i_small(x, orders), orders)]
@@ -285,7 +309,7 @@ def _k_small(x, orders):
 
 def _k_large(x, orders):
     """K_nu at 2 <= x < inf: e^(-x) T / sqrt(x)."""
-    return np.exp(-x) * _clenshaw(_KE_CHEB[list(orders)], 8.0 / x - 2.0) / np.sqrt(x)
+    return np.exp(-x) * _clenshaw(_KE_COLS[orders], 8.0 / x - 2.0) / np.sqrt(x)
 
 
 # family -> (seam, regions below and from it on, each (x, orders) -> rows)
@@ -301,15 +325,19 @@ _REGIONS = {
 # public kernels
 
 def _prepare(x, strict_positive):
+    """(x as a float array of at least one dimension, whether x was a
+    scalar, the least and the largest of its non-NaN points).  The array
+    is the caller's own where it can be: no kernel writes to it."""
     arr = np.asarray(x, dtype=float)
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).copy()
+    arr = np.atleast_1d(arr)
+    lo = np.fmin.reduce(arr, axis=None, initial=np.inf)
     if strict_positive:
-        if np.any(arr <= 0.0):
+        if lo <= 0.0:
             raise ValueError("argument must be positive for Y and K kernels")
-    elif np.any(arr < 0.0):
+    elif lo < 0.0:
         raise ValueError("argument must be nonnegative")
-    return arr, scalar
+    return arr, scalar, lo, np.fmax.reduce(arr, axis=None, initial=-np.inf)
 
 
 def _finish(out, scalar):
@@ -319,17 +347,23 @@ def _finish(out, scalar):
 def _kernel(x, family, orders):
     """The tuple of C_nu(x) for nu in orders, C the kernels of ``family``:
     the tables below the family's seam and from it on, one Clenshaw pass
-    per region for every order, and the limit 0 at +inf of J, Y and K."""
-    x, scalar = _prepare(x, strict_positive=family in "YK")
-    if family == "I" and np.any(x > _I_OVERFLOW):
+    per region for every order, and the limit 0 at +inf of J, Y and K.
+    Points that all lie in one region go to it whole."""
+    x, scalar, lo, hi = _prepare(x, strict_positive=family in "YK")
+    if family == "I" and hi > _I_OVERFLOW:
         raise OverflowError(f"i{orders[0]} overflows double precision for x > 705")
     seam, below, beyond = _REGIONS[family]
-    small = x < seam
-    out = np.zeros((len(orders),) + x.shape)
-    for mask, region in ((small, below), (~small & (x != np.inf), beyond)):
-        if np.any(mask):
-            for row, val in zip(out, region(x[mask], orders)):
-                row[mask] = val
+    if hi < seam:
+        out = below(x, orders)
+    elif lo >= seam and hi < np.inf:
+        out = beyond(x, orders)
+    else:
+        small = x < seam
+        out = np.zeros((len(orders),) + x.shape)
+        for mask, region in ((small, below), (~small & (x != np.inf), beyond)):
+            if np.any(mask):
+                for row, val in zip(out, region(x[mask], orders)):
+                    row[mask] = val
     return tuple(_finish(row, scalar) for row in out)
 
 

@@ -13,11 +13,23 @@ Two engines cover every integral in the library:
   with Wynn's epsilon algorithm; this is what makes the conditionally
   convergent spectral-side integrals computable.
 
-Both are stateless and evaluate their integrand on arrays of nodes, so
-callers may parallelize freely; results do not depend on evaluation order.
+Each engine is written as steps: a generator (``_adaptive_steps``,
+``_oscillatory_steps``) that yields the nodes of its next round and is
+sent their values, and returns its result.  One driver, ``_lockstep``,
+runs any number of such integrals side by side and makes a single
+integrand call per round on the nodes of every integral still running;
+the two public engines are its one-integral case.  An operation that
+needs several integrals of one integrand (the inverse transform on an x
+grid, an integral split at a point) then pays one integrand call per
+round instead of one per integral per round.
+
 Integrands must be pointwise: the value at a node may not depend on the
 other nodes of the call, whose number and grouping are the engine's
-choice.
+choice.  That is what makes lockstep exact: each integral keeps its own
+panels, heap, bracket sums and epsilon table and sees the same values
+at the same nodes as when it runs alone, so its result is the same to
+the last bit.  Both engines are stateless, so callers may parallelize
+freely.
 """
 
 import heapq
@@ -52,9 +64,62 @@ def _gauss(n):
     return _NODES[n]
 
 
-def _panel_pairs(f, a, b):
-    """(coarse, fine) Gauss estimates on the panels [a_i, b_i], from one
-    integrand call on all of their nodes.
+def _values(f, x):
+    """f at the array x; every integrand maps an array of nodes to an array
+    of values of the same shape, anything else raises ValueError."""
+    vals = np.asarray(f(x), dtype=float)
+    if vals.shape != np.shape(x):
+        raise ValueError("the integrand must map an array of nodes to an "
+                         "array of values of the same shape")
+    return vals
+
+
+def _lockstep(f, steps):
+    """The results of the integrals ``steps`` (step generators), run side
+    by side.
+
+    Each round makes one call f(nodes, which) on the nodes that every
+    unfinished integral asks for, laid end to end; which[j] is the index
+    in ``steps`` of the integral that asked for nodes[j].  f must return
+    an array of values shaped like nodes, each depending on its own node
+    and integral only.  Every call, and every step's arithmetic on the
+    values, runs with overflow and invalid operations quiet: the engines
+    read non-finite values as a failed panel or a bracket train that does
+    not converge.
+    """
+    results = [None] * len(steps)
+    asks = {}  # integral -> the nodes it asks for in this round
+
+    def advance(i, vals):
+        try:
+            asks[i] = steps[i].send(vals)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(steps)):
+            advance(i, None)
+        while asks:
+            order = list(asks)
+            wants = [asks.pop(i) for i in order]
+            sizes = [w.size for w in wants]
+            which = np.repeat(order, sizes)
+            vals = _values(lambda x: f(x, which),
+                           np.concatenate([w.ravel() for w in wants]))
+            for i, w, part in zip(order, wants,
+                                  np.split(vals, np.cumsum(sizes)[:-1])):
+                advance(i, part.reshape(w.shape))
+    return results
+
+
+def _single(f, steps):
+    """The result of one integral of f: ``_lockstep``'s one-integral case."""
+    return _lockstep(lambda x, which: f(x), [steps])[0]
+
+
+def _panel_pairs(a, b):
+    """Steps: (coarse, fine) Gauss estimates on the panels [a_i, b_i], from
+    one round on all of their nodes, shaped (panels, 30).
 
     Non-finite estimates (divergent or overflowing integrands) come back
     as a zero value with an effectively infinite error so the caller
@@ -63,17 +128,18 @@ def _panel_pairs(f, a, b):
     x10, w10 = _gauss(10)
     x20, w20 = _gauss(20)
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    nodes = mid[:, None] + half[:, None] * np.concatenate([x10, x20])
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = _values(f, nodes.ravel()).reshape(nodes.shape)
-        coarse = half * (vals[:, :10] @ w10)
-        fine = half * (vals[:, 10:] @ w20)
+    vals = yield mid[:, None] + half[:, None] * np.concatenate([x10, x20])
+    coarse = half * (vals[:, :10] @ w10)
+    fine = half * (vals[:, 10:] @ w20)
     bad = ~(np.isfinite(coarse) & np.isfinite(fine))
     coarse[bad], fine[bad] = 1e300, 0.0  # panel value 0, panel error 1e300
     return coarse, fine
 
 
-def adaptive_quad(f, a, b, tol=1e-8, singular=(), max_panels=4000):
+_MAX_PANELS = 4000  # adaptive_quad's default panel budget
+
+
+def adaptive_quad(f, a, b, tol=1e-8, singular=(), max_panels=_MAX_PANELS):
     """Integrate f over [a, b] to absolute accuracy ~tol.
 
     f is called on 1-D arrays of nodes inside [a, b] and must return an
@@ -104,30 +170,23 @@ def adaptive_quad(f, a, b, tol=1e-8, singular=(), max_panels=4000):
         def g(u):
             u = np.asarray(u)
             return np.where(u > 0.0, 3.0 * u * u * _values(f, a + u ** 3), 0.0)
-        return _adaptive_core(g, 0.0, w, tol, max_panels)
+        return _single(g, _adaptive_steps(0.0, w, tol, max_panels))
     if "right" in singular:
         w = (b - a) ** (1.0 / 3.0)
         def g(u):
             u = np.asarray(u)
             return np.where(u > 0.0, 3.0 * u * u * _values(f, b - u ** 3), 0.0)
-        return _adaptive_core(g, 0.0, w, tol, max_panels)
-    return _adaptive_core(f, a, b, tol, max_panels)
+        return _single(g, _adaptive_steps(0.0, w, tol, max_panels))
+    return _single(f, _adaptive_steps(a, b, tol, max_panels))
 
 
-def _values(f, x):
-    """f at the array x; every integrand maps an array of nodes to an array
-    of values of the same shape, anything else raises ValueError."""
-    vals = np.asarray(f(x), dtype=float)
-    if vals.shape != np.shape(x):
-        raise ValueError("the integrand must map an array of nodes to an "
-                         "array of values of the same shape")
-    return vals
-
-
-def _adaptive_core(f, a, b, tol, max_panels):
+def _adaptive_steps(a, b, tol, max_panels):
+    """Steps of ``adaptive_quad`` on [a, b] (a < b, no singular end): each
+    round asks for the nodes of the panels it bisects; returns the
+    QuadResult."""
     heap = []  # (-err, a, b, fine estimate) of every panel
     lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
-    total_err = _push_panels(heap, lo, hi, *_panel_pairs(f, lo, hi))
+    total_err = _push_panels(heap, lo, hi, *(yield from _panel_pairs(lo, hi)))
     neval = 30
     panels = 1
     while total_err > tol and panels < max_panels:
@@ -147,8 +206,8 @@ def _adaptive_core(f, a, b, tol, max_panels):
             break
         pa, mid, pb = np.array(split).T
         lo, hi = np.concatenate([pa, mid]), np.concatenate([mid, pb])
-        total_err += _push_panels(heap, lo, hi, *_panel_pairs(f, lo, hi)) \
-            - err_sum
+        total_err += _push_panels(heap, lo, hi,
+                                  *(yield from _panel_pairs(lo, hi))) - err_sum
         neval += 60 * len(split)
         panels += len(split)
     value = float(sum(item[3] for item in heap))
@@ -166,6 +225,13 @@ def _push_panels(heap, lo, hi, coarse, fine):
 
 # ---------------------------------------------------------------------------
 # oscillatory semi-infinite integrals
+
+# No exit of oscillatory_semi_infinite reads fewer bracket sums: the decay
+# exit waits for them, and the epsilon exit compares the estimates of two
+# rounds of _MIN_SUMS // 2 brackets.
+_MIN_SUMS = 16
+_MAX_BRACKETS = 140  # oscillatory_semi_infinite's default bracket budget
+
 
 @dataclass(frozen=True)
 class OscResult:
@@ -218,45 +284,73 @@ def wynn_epsilon(partial_sums):
 
 
 def oscillatory_semi_infinite(f, zero_spacing_hint, tol=1e-6, start=None,
-                              max_brackets=140, head_tol=None):
+                              max_brackets=_MAX_BRACKETS, head_tol=None):
     """Integral of f over (0, inf) for eventually oscillatory f.
 
-    The axis is split at ``start`` (default: one spacing) into a head,
+    The axis is split at ``start`` > 0 (default: one spacing) into a head,
     integrated adaptively, and a bracket train of width
     ``zero_spacing_hint``; the bracket partial sums are accelerated with
     the epsilon algorithm until two consecutive estimates agree to tol.
+    """
+    return _single(f, _oscillatory_steps(zero_spacing_hint, tol, start,
+                                         max_brackets, head_tol))
+
+
+def _oscillatory_steps(zero_spacing_hint, tol=1e-6, start=None,
+                       max_brackets=_MAX_BRACKETS, head_tol=None):
+    """Steps of ``oscillatory_semi_infinite``; returns the OscResult.
+
+    The first round asks for the head's first panel and brackets
+    0 .. _MIN_SUMS - 1 together.  The head then runs to its end before any
+    bracket sum is formed, since every sum includes its value; later
+    rounds ask for _MIN_SUMS // 2 brackets each.
     """
     h = float(zero_spacing_hint)
     if h <= 0.0:
         raise ValueError("zero_spacing_hint must be positive")
     x0 = h if start is None else float(start)
-    head = adaptive_quad(f, 0.0, x0, tol=(head_tol or tol * 0.05))
+    if not x0 > 0.0:
+        raise ValueError("start must be positive")
     xg, wg = _gauss(16)
+    chunk = _MIN_SUMS // 2
+
+    def brackets(k, n):
+        mids = x0 + h * (k + np.arange(n)) + 0.5 * h
+        return mids[:, None] + 0.5 * h * xg[None, :]
+
+    first = brackets(0, min(_MIN_SUMS, chunk * -(-max_brackets // chunk)))
+    head = _adaptive_steps(0.0, x0, head_tol or tol * 0.05, _MAX_PANELS)
+    nodes = next(head)
+    vals = yield np.concatenate([nodes.ravel(), first.ravel()])
+    rows = vals[nodes.size:].reshape(first.shape)
+    vals = vals[:nodes.size].reshape(nodes.shape)
+    while True:
+        try:
+            vals = yield head.send(vals)
+        except StopIteration as stop:
+            total = stop.value.value
+            break
     sums = []
-    total = head.value
     estimates = []
-    chunk = 8
     k = 0
     while k < max_brackets:
-        lo = x0 + h * (k + np.arange(chunk))
-        mids = lo + 0.5 * h
-        nodes = (mids[:, None] + 0.5 * h * xg[None, :]).ravel()
-        vals = _values(f, nodes).reshape(chunk, -1)
-        segs = 0.5 * h * vals.dot(wg)
+        if k >= len(first):
+            rows = yield brackets(k, chunk)
+        segs = 0.5 * h * rows[:chunk].dot(wg)
+        rows = rows[chunk:]
         for s in segs:
             total += s
             sums.append(total)
         k += chunk
         # an integrand that has already died converges by decay alone
-        if len(sums) >= 16 and np.max(np.abs(segs)) < 0.02 * tol:
+        if len(sums) >= _MIN_SUMS and np.max(np.abs(segs)) < 0.02 * tol:
             err = float(3.0 * np.max(np.abs(segs)))
             return OscResult(float(total), err, True, k)
-        if len(sums) >= 8:
-            est, stab = wynn_epsilon(sums)
-            estimates.append(est)
-            if len(estimates) >= 2:
-                drift = abs(estimates[-1] - estimates[-2])
-                if drift < tol and stab < 10 * tol:
-                    return OscResult(float(est), float(max(drift, stab)), True, k)
+        est, stab = wynn_epsilon(sums)
+        estimates.append(est)
+        if len(estimates) >= 2:
+            drift = abs(estimates[-1] - estimates[-2])
+            if drift < tol and stab < 10 * tol:
+                return OscResult(float(est), float(max(drift, stab)), True, k)
     est, stab = wynn_epsilon(sums)
     return OscResult(float(est), float(stab), False, k)

@@ -37,7 +37,8 @@ Against the closed forms of exp(-x) and exp(-x^2) at X = 40, lam in
 [8, 320], the forward is within 9.5e-14 (generalized pair, M <= 2) and
 2e-17 (classical) absolute, as the Gauss grid was.  The inverse is an
 adaptive head on lam in [0, 8] plus brackets of spacing
-pi/x summed with epsilon acceleration; at x = 0 it is the lam-measure
+pi/x summed with epsilon acceleration, the integrals of every x of a grid
+in lockstep (one call of g per round); at x = 0 it is the lam-measure
 integral of g.  When g oscillates on its own (f ends sharply at some E),
 the brackets follow the beat x + E, at x = 0 too.
 
@@ -60,7 +61,9 @@ import numpy as np
 from . import classical
 from .measures import (AtomDensityMeasure, inner_product, lebesgue_x,
                        spectral_measure)
-from .quadrature import _gauss, adaptive_quad, oscillatory_semi_infinite
+from .quadrature import (_MAX_PANELS, _adaptive_steps, _gauss, _lockstep,
+                         _oscillatory_steps, adaptive_quad,
+                         oscillatory_semi_infinite)
 from .solutions import (Params, SolutionHandle, SolutionKind, _regular_derivs,
                         _structure, eval_jtype_outer, eval_solution,
                         spectral_value)
@@ -524,34 +527,42 @@ def _inverse(pair: _Pair, g, x_grid, tol, lam_tail_start=8.0,
              ring=0.0) -> TransformResult:
     """The inverse transform of g on x_grid (see ``generalized_inverse``).
 
-    ``ring`` is the frequency at which g oscillates on its own (see
-    ``_ring``); the brackets then resolve the fastest beat x + ring, and
-    x = 0 runs on brackets too, since the measure integral's tail closure
-    fails on an oscillating g.
+    Each x > 0 takes two lam integrals, an adaptive head on
+    [0, lam_tail_start] and a bracket train beyond it, and the integrals
+    of every x run in lockstep: one call of g per round on the lams of all
+    of them.  Each integral converges on its own, so the values are those
+    of one x at a time, bit for bit.  ``ring`` is the frequency at which g
+    oscillates on its own (see ``_ring``); the brackets then resolve the
+    fastest beat x + ring, and x = 0 runs on brackets too, since the
+    measure integral's tail closure fails on an oscillating g.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     density = pair.lam_measure.density
     vals = np.empty_like(x_grid)
-    diag = []
-    for i, x in enumerate(x_grid):
-        if x == 0.0 and not ring:
-            vals[i] = _measure_integral(pair, g, tol * 1e-2)
-            diag.append({"x": 0.0, "mode": "measure-integral"})
-            continue
+    origin = (x_grid == 0.0) & (ring == 0.0)
+    diag = [{"x": 0.0, "mode": "measure-integral"} for _ in x_grid]
+    for i in np.flatnonzero(origin):
+        vals[i] = _measure_integral(pair, g, tol * 1e-2)
+    live = np.flatnonzero(~origin)
+    # integrals 2j and 2j + 1 are the head and the tail of x_grid[live[j]]
+    xs = np.repeat(x_grid[live], 2)
+    shift = np.tile([0.0, lam_tail_start], live.size)
 
-        def integrand(lam):
-            lam = np.asarray(lam, dtype=float)
-            return pair.kernel(lam, float(x)) \
-                * np.asarray(g(lam), dtype=float) * density(lam)
+    def integrand(nodes, which):
+        lam = nodes + shift[which]
+        return pair.kernel(lam, xs[which]) \
+            * np.asarray(g(lam), dtype=float) * density(lam)
 
-        head = adaptive_quad(integrand, 0.0, lam_tail_start, tol=tol * 1e-2)
-        r = oscillatory_semi_infinite(
-            lambda lam: integrand(lam + lam_tail_start),
-            np.pi / (x + ring), tol=tol, head_tol=tol * 1e-2)
+    steps = []
+    for x in x_grid[live]:
+        steps += [_adaptive_steps(0.0, lam_tail_start, tol * 1e-2, _MAX_PANELS),
+                  _oscillatory_steps(np.pi / (x + ring), tol, head_tol=tol * 1e-2)]
+    results = _lockstep(integrand, steps)
+    for i, head, r in zip(live, results[::2], results[1::2]):
         vals[i] = head.value + r.value
-        diag.append({"x": float(x), "head_err": head.error, "tail_err": r.error,
-                     "converged": head.converged and r.converged,
-                     "brackets": r.brackets})
+        diag[i] = {"x": float(x_grid[i]), "head_err": head.error,
+                   "tail_err": r.error, "converged": head.converged and r.converged,
+                   "brackets": r.brackets}
     return TransformResult(grid=x_grid, values=vals, diagnostics={"points": diag})
 
 
@@ -640,7 +651,10 @@ def generalized_inverse(g, params: Params, x_grid, tol=1e-6,
     f(0) is the plain spectral-measure integral of g; for x > 0 the
     lambda integrand oscillates with spacing ~pi/x under an O(lam^-3/2)
     envelope, integrated with the oscillatory accelerator after an
-    adaptive head.
+    adaptive head on [0, lam_tail_start].  The integrals of all x > 0 run
+    in lockstep, so g is called once per round on the lambdas of every x:
+    a grid costs as many calls of g as its slowest x alone, and each value
+    equals that of a one-x call bit for bit.
     """
     return _inverse(_generalized_pair(params), g, x_grid, tol, lam_tail_start)
 
@@ -661,11 +675,12 @@ def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
         lam = np.asarray(lam, dtype=float)
         return gev(lam) * density(lam)
 
-    total = adaptive_quad(g_density, 0.0, lam_max, tol=tol, max_panels=400).value
-    # the integrand falls off like lam^-4; close with the analytic-shape tail
-    tail = adaptive_quad(g_density, lam_max, 4.0 * lam_max, tol=tol,
-                         max_panels=200).value
-    return abs(total + tail - gev.f0)
+    # the integrand falls off like lam^-4; close with the analytic-shape
+    # tail, in lockstep with the body
+    total, tail = _lockstep(lambda lam, which: g_density(lam),
+                            [_adaptive_steps(0.0, lam_max, tol, 400),
+                             _adaptive_steps(lam_max, 4.0 * lam_max, tol, 200)])
+    return abs(total.value + tail.value - gev.f0)
 
 
 def generalized_roundtrip(f, params: Params, x_points, f0=None,
@@ -702,6 +717,27 @@ def vanishing_moment(eta: float, params: Params, tol=1e-7) -> float:
     return head.value + r.value
 
 
+def _classical_side(lam, X):
+    """(J0(lam X), J1(lam X)): what the classical delta kernel reads at
+    one of its two spectral points."""
+    z = np.multiply(lam, X)
+    return classical.j0(z), classical.j1(z)
+
+
+def _classical_kernel(lam, side, mu, X):
+    """The closed form of ``ortho_kernel_classical`` at the arrays lam and
+    mu, with lam's ``_classical_side`` given; where mu == lam, its limit
+    lam X^2/2 (J0(lam X)^2 + J1(lam X)^2)."""
+    jl0, jl1 = side
+    jm0, jm1 = _classical_side(mu, X)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = lam * (X * (lam * jl1 * jm0 - mu * jl0 * jm1)) / (lam ** 2 - mu ** 2)
+    diag = lam == mu
+    if np.any(diag):
+        out = np.where(diag, lam * X * X / 2.0 * (jl0 * jl0 + jl1 * jl1), out)
+    return out
+
+
 def ortho_kernel_classical(lmb, mu, X, method="closed"):
     """lam * integral_0^X x J0(lam x) J0(mu x) dx (truncated delta kernel)."""
     if method == "quad":
@@ -712,12 +748,34 @@ def ortho_kernel_classical(lmb, mu, X, method="closed"):
     lmb_arr = np.atleast_1d(np.asarray(lmb, dtype=float))
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     # the lam side once, broadcast against every mu
-    jl0, jl1 = classical.j0(lmb_arr * X), classical.j1(lmb_arr * X)
-    num = X * (lmb_arr * jl1 * classical.j0(mu_arr * X)
-               - mu_arr * jl0 * classical.j1(mu_arr * X))
-    out = lmb_arr * num / (lmb_arr ** 2 - mu_arr ** 2)
+    out = _classical_kernel(lmb_arr, _classical_side(lmb_arr, X), mu_arr, X)
     scalar = np.ndim(lmb) == 0 and np.ndim(mu) == 0 and np.ndim(X) == 0
     return float(out[0]) if scalar else out
+
+
+def _generalized_side(lam, params: Params, X):
+    """What the generalized delta kernel reads at one of its two spectral
+    points: J_lam and its x-derivatives 1-3 at X, and L(lam)."""
+    return _regular_derivs(SolutionKind.jtype, lam, X, params, 3), \
+        spectral_value(lam, params)
+
+
+def _generalized_kernel(lam, side, weight, mu, params: Params, X):
+    """The closed form of ``ortho_kernel_generalized`` at the scalar lam
+    and the array mu, with lam's ``_generalized_side`` and density weight
+    given; where mu == lam, the quad route's value."""
+    dl, L = side
+    dm, Lm = _generalized_side(mu, params, X)
+    w = 9.0 / X + 8.0 * X / params.M
+    sym = (dm[0] * (X * dl[3] + dl[2]) - (X * dm[3] + dm[2]) * dl[0]
+           - X * (dm[1] * dl[2] - dm[2] * dl[1])
+           - w * (dm[0] * dl[1] - dm[1] * dl[0]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = weight * sym / (L - Lm)
+    diag = mu == lam
+    if np.any(diag):
+        out[diag] = ortho_kernel_generalized(lam, lam, params, X, method="quad")
+    return out
 
 
 def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
@@ -725,7 +783,9 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
 
     The closed route uses the Green identity: the truncated integral is
     [J_lam, J_mu](X)/(L(lam)-L(mu)) minus the boundary term at 0, and the
-    0-term is exactly -(M/2)(L(lam)-L(mu)), cancelling the atom.
+    0-term is exactly -(M/2)(L(lam)-L(mu)), cancelling the atom.  On the
+    diagonal mu == lam, where that quotient reads 0/0, it takes the quad
+    route.
     """
     M = params.M
     weight = spectral_measure(M).density(lmb)
@@ -738,14 +798,9 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
             max_panels=20000).value
         return weight * (val + M / 2.0)
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
-    dl = _regular_derivs(SolutionKind.jtype, lmb, X, params, 3)  # broadcast over mu
-    dm = _regular_derivs(SolutionKind.jtype, mu_arr, X, params, 3)
-    w = 9.0 / X + 8.0 * X / M
-    sym = (dm[0] * (X * dl[3] + dl[2]) - (X * dm[3] + dm[2]) * dl[0]
-           - X * (dm[1] * dl[2] - dm[2] * dl[1])
-           - w * (dm[0] * dl[1] - dm[1] * dl[0]))
-    dL = spectral_value(lmb, params) - spectral_value(mu_arr, params)
-    out = weight * sym / dL
+    # the lam side once, broadcast against every mu
+    out = _generalized_kernel(lmb, _generalized_side(lmb, params, X), weight,
+                              mu_arr, params, X)
     return float(out[0]) if np.ndim(mu) == 0 else out
 
 
@@ -770,10 +825,15 @@ def weak_delta_probe(kind, lam0, X, params: Params = None, half_width=0.5,
     def phi(mu):
         return smooth_bump((np.asarray(mu, dtype=float) - lam0) / half_width)
 
+    # the lam0 side of the kernel once per probe, not in every round
     if kind == "classical":
-        fn = lambda mu: ortho_kernel_classical(lam0, mu, X) * phi(mu)
+        side = _classical_side(lam0, X)
+        fn = lambda mu: _classical_kernel(lam0, side, mu, X) * phi(mu)
     elif kind == "generalized":
-        fn = lambda mu: ortho_kernel_generalized(lam0, mu, params, X) * phi(mu)
+        side = _generalized_side(lam0, params, X)
+        weight = spectral_measure(params.M).density(lam0)
+        fn = lambda mu: _generalized_kernel(lam0, side, weight, mu, params, X) \
+            * phi(mu)
     else:
         raise ValueError("kind must be 'classical' or 'generalized'")
     r = adaptive_quad(fn, lam0 - half_width, lam0 + half_width, tol=tol,

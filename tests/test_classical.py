@@ -282,6 +282,35 @@ def test_vectorization_and_scalars():
     assert np.isnan(cb.k0(np.nan)) and np.isnan(cb.k1(np.nan))
 
 
+def test_one_region_calls_match_mixed_arrays_and_scalars():
+    # a call whose points all lie on one side of the family's seam goes to
+    # that region whole: the same bits as inside a mixed-region array and
+    # as scalars, the input left as it was and the output its own memory
+    rng = np.random.default_rng(23)
+    for name, seam in (("j0", 8.0), ("j1", 8.0), ("y0", 8.0), ("y1", 8.0),
+                       ("i0", 8.0), ("i1", 8.0), ("k0", 2.0), ("k1", 2.0)):
+        fn = getattr(cb, name)
+        low = 0.0 if name[0] in "ji" else 1e-3
+        below = np.concatenate([[low], rng.uniform(low, seam, 39)])
+        beyond = np.concatenate([[seam], rng.uniform(seam, 700.0, 39)])
+        for x, rest in ((below, beyond), (beyond, below)):
+            keep = x.copy()
+            out = fn(x)
+            assert np.array_equal(x, keep) and not np.shares_memory(out, x), name
+            perm = rng.permutation(80)
+            back = np.empty(80)
+            back[perm] = fn(np.concatenate([x, rest])[perm])
+            assert back[:40].tobytes() == out.tobytes(), (name, x[0])
+            singles = np.array([fn(float(v)) for v in x])
+            assert singles.tobytes() == out.tobytes(), (name, x[0])
+    # NaN passes through the sign check, which still sees a negative beside it
+    assert np.isnan(cb.j0(np.array([np.nan, 1.0, 9.0]))[0])
+    with pytest.raises(ValueError):
+        cb.j0(np.array([np.nan, -1.0]))
+    with pytest.raises(ValueError):
+        cb.k0(np.array([np.nan, 0.0]))
+
+
 def test_derivative_limits_at_zero():
     assert eval_bessel_derivative(BesselKind("J", 1), 0.0) == 0.5
     assert eval_bessel_derivative(BesselKind("I", 1), 0.0) == 0.5

@@ -1,13 +1,16 @@
 """Quadrature engines and the atom-plus-density measures."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from bessel4 import classical as cb
 from bessel4.measures import (inner_product, jump_measure, lebesgue_x,
                               spectral_measure, spectral_total_mass)
-from bessel4.quadrature import (adaptive_quad, oscillatory_semi_infinite,
-                                wynn_epsilon)
+from bessel4.quadrature import (_adaptive_steps, _lockstep,
+                                _oscillatory_steps, adaptive_quad,
+                                oscillatory_semi_infinite, wynn_epsilon)
 
 
 def test_polynomial_and_sine():
@@ -160,6 +163,68 @@ def test_integrand_sees_only_arrays_inside_the_interval():
     calls.clear()
     oscillatory_semi_infinite(lambda x: f(x + 2.0), np.pi, tol=1e-6)
     assert calls and all(c.ndim == 1 and np.all(c > 2.0) for c in calls)
+
+
+def test_first_bracket_call_holds_head_panel_and_sixteen_brackets():
+    # no converged exit reads fewer than 16 bracket sums, so the first call
+    # takes the head's first Gauss panel pair and brackets 0-15 together
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x, dtype=float))
+        return cb.j0(x)
+
+    h = np.pi
+    r = oscillatory_semi_infinite(f, h, tol=1e-6)
+    assert r.converged and r.value == pytest.approx(1.0, abs=1e-6)
+    first = calls[0]
+    assert first.size == 30 + 16 * 16
+    head, brackets = first[:30], first[30:].reshape(16, 16)
+    assert np.all((head > 0.0) & (head < h))
+    lo = h + h * np.arange(16)
+    assert np.all((brackets > lo[:, None]) & (brackets < lo[:, None] + h))
+    # later calls: a round of the head's bisections, or 8 more brackets
+    assert all(c.size % 60 == 0 or c.size == 8 * 16 for c in calls[1:])
+
+
+@pytest.mark.parametrize("start", [0.0, -1.0, np.nan])
+def test_oscillatory_head_must_have_positive_length(start):
+    with pytest.raises(ValueError):
+        oscillatory_semi_infinite(cb.j0, np.pi, start=start)
+
+
+def test_integrand_overflow_is_quiet_in_every_call():
+    # exp overflows from bracket 16 on (x > 680), past the first call;
+    # every integrand call runs under the same floating-point state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = oscillatory_semi_infinite(np.exp, 40.0, max_brackets=24)
+    assert not r.converged
+
+
+def test_lockstep_integrals_match_one_at_a_time():
+    # integrals run side by side share each integrand call, one per round
+    # of the slowest, and each returns its lone result bit for bit
+    rates = np.array([1.0, 30.0, 0.2])
+    calls = []
+
+    def f(x, which):
+        calls.append(x.size)
+        return np.cos(rates[which] * x) * np.exp(-x)
+
+    def steps():
+        return [_adaptive_steps(0.0, 3.0, 1e-12, 4000),
+                _oscillatory_steps(np.pi / 30.0, 1e-9, 0.5, 140, None),
+                _adaptive_steps(-1.0, 2.0, 1e-10, 50)]
+
+    together = _lockstep(f, steps())
+    rounds, alone, alone_rounds = len(calls), [], []
+    for i, s in enumerate(steps()):
+        calls.clear()
+        alone.append(_lockstep(lambda x, _: f(x, np.full(x.size, i)), [s])[0])
+        alone_rounds.append(len(calls))
+    assert together == alone
+    assert rounds == max(alone_rounds) < sum(alone_rounds)
 
 
 @pytest.mark.parametrize("f, a, b, singular, tol, exact", [

@@ -1,9 +1,12 @@
 """Transforms: classical pair, generalized pair, kernels, fixtures."""
 
+import importlib.util
+import pathlib
+
 import numpy as np
 import pytest
 
-from bessel4 import transforms as tr
+from bessel4 import classical, quadrature, transforms as tr
 from bessel4.fixtures import load_suite, parse_suite
 from bessel4.solutions import Params
 
@@ -227,6 +230,60 @@ def test_weak_delta_probes():
         tr.weak_delta_probe("nope", 1.0, 200.0)
 
 
+def test_delta_probes_evaluate_the_lam0_side_once(monkeypatch):
+    # the lam0 side of each kernel does not depend on mu, so a probe reads
+    # it once, not in each of its integrand calls
+    lam0, X = 1.0, 200.0
+    seen = {"j0": 0, "derivs": 0, "calls": 0}
+    j0, derivs, quad = classical.j0, tr._regular_derivs, tr.adaptive_quad
+
+    def counted_j0(x):
+        seen["j0"] += bool(np.all(np.asarray(x) == lam0 * X))
+        return j0(x)
+
+    def counted_derivs(kind, lams, *args):
+        seen["derivs"] += bool(np.all(np.asarray(lams) == lam0))
+        return derivs(kind, lams, *args)
+
+    def counted_quad(f, *args, **kwargs):
+        def g(mu):
+            seen["calls"] += 1
+            return f(mu)
+        return quad(g, *args, **kwargs)
+
+    monkeypatch.setattr(classical, "j0", counted_j0)
+    monkeypatch.setattr(tr, "_regular_derivs", counted_derivs)
+    monkeypatch.setattr(tr, "adaptive_quad", counted_quad)
+    tr.weak_delta_probe("classical", lam0, X)
+    assert seen["j0"] == 1 and seen["calls"] > 1
+    seen["calls"] = 0
+    tr.weak_delta_probe("generalized", lam0, X, params=P1)
+    assert seen["derivs"] == 1 and seen["calls"] > 1
+
+
+@pytest.mark.parametrize("lam, X", [(1.3, 200.0), (0.4, 30.0)])
+def test_delta_kernels_on_the_diagonal(lam, X):
+    # mu == lam reads 0/0 in both closed forms, but the kernels are finite
+    # there: the classical limit is lam X^2/2 (J0(lam X)^2 + J1(lam X)^2),
+    # and both must agree with their quad route
+    closed = lam * X * X / 2.0 * (classical.j0(lam * X) ** 2
+                                  + classical.j1(lam * X) ** 2)
+    quad = tr.ortho_kernel_classical(lam, lam, X, method="quad")
+    assert quad == pytest.approx(closed, rel=1e-8)
+    mu = np.array([lam - 0.1, lam, lam + 0.1])
+    for got in (tr.ortho_kernel_classical(lam, lam, X),
+                tr.ortho_kernel_classical(lam, mu, X)[1]):
+        assert got == pytest.approx(quad, rel=1e-8)
+    assert np.all(np.isfinite(tr.ortho_kernel_classical(lam, mu, X)))
+    quad = tr.ortho_kernel_generalized(lam, lam, P1, X, method="quad")
+    for got in (tr.ortho_kernel_generalized(lam, lam, P1, X),
+                tr.ortho_kernel_generalized(lam, mu, P1, X)[1]):
+        assert got == pytest.approx(quad, rel=1e-8)
+    # the diagonal is the limit of the off-diagonal closed form
+    near = tr.ortho_kernel_generalized(lam, lam * (1.0 + 1e-9), P1, X)
+    assert near == pytest.approx(quad, rel=1e-5)
+
+
 def test_fixture_suite_contents():
     suite = load_suite()
     names = [fx.name for fx in suite]
@@ -280,6 +337,52 @@ def test_generalized_inverse_of_zero_is_zero():
     zero = lambda lam: np.zeros_like(np.asarray(lam, dtype=float))
     r = tr.generalized_inverse(zero, P1, [0.0, 0.5, 2.0])
     assert np.all(r.values == 0.0)
+
+
+def test_inverse_grid_runs_its_integrals_in_lockstep():
+    # the lam integrals of every x share each call of g: the grid's values
+    # are those of one x at a time, bit for bit, and g is called no more
+    # often than for the x that takes the most rounds alone
+    M = 1.3
+    calls = []
+
+    def g(lam):
+        calls.append(np.size(lam))
+        lam = np.asarray(lam, dtype=float)
+        return np.exp(-lam * lam / 4.0) * ((1.0 + M * lam * lam / 4.0) / 2.0
+                                           + M / 2.0)
+
+    xs = [0.3, 1.1, 2.4]
+    grid = tr.generalized_inverse(g, Params(M), xs)
+    rounds, alone = len(calls), []
+    for i, x in enumerate(xs):
+        calls.clear()
+        r = tr.generalized_inverse(g, Params(M), [x])
+        assert r.values.tobytes() == grid.values[i:i + 1].tobytes()
+        assert r.diagnostics["points"] == grid.diagnostics["points"][i:i + 1]
+        alone.append(len(calls))
+    assert rounds <= max(alone)
+    assert np.allclose(grid.values, np.exp(-np.square(xs)), atol=1e-5)
+
+
+def test_quad_cost_tool_runs_at_small_size(capsys):
+    # the tool wraps the private quadrature driver where the library binds
+    # it, so a rename there fails here rather than going unnoticed
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "quad_cost.py"
+    spec = importlib.util.spec_from_file_location("quad_cost", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.main(["1"])
+    assert quadrature._lockstep is tr._lockstep
+    assert "counted" not in quadrature._lockstep.__qualname__
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(tool.SITES)
+    rows = {line[:29].strip(): [float(c) for c in line[29:].split()]
+            for line in lines[1:]}
+    assert all(len(r) == 4 and min(r) > 0.0 for r in rows.values())
+    # the inverse runs two integrals per x, all x in lockstep
+    one, three = rows["generalized_inverse 1 x"], rows["generalized_inverse 3 x"]
+    assert one[0] == 2.0 and three[0] == 6.0 and three[1] < 3 * one[1]
 
 
 # unsorted, with duplicates; at x_cut 40 their Gauss grids have 512,

@@ -1,19 +1,22 @@
 """Print the cost of the lambda-side integrals, per call site.
 
 For each call site in SITES the script runs the public function once per
-input and prints, per quadrature engine the site uses,
+input and prints, per call of the site,
 
-* integrals: top-level integrals of that engine per call of the site;
-* calls, nodes: integrand calls and nodes per integral;
-* ms: milliseconds spent inside the engine per integral, the least over
-  REPEATS runs of the site after one warm-up run.
+* integrals: integrals the quadrature driver ran (an adaptive integral,
+  or a bracket train with its adaptive head);
+* rounds: integrand calls; integrals run in lockstep share each call;
+* nodes: integrand nodes;
+* ms: milliseconds spent inside the driver, the least over REPEATS runs
+  of the site after one warm-up run.
 
-The engines are ``adaptive_quad`` ("adaptive") and
-``oscillatory_semi_infinite`` ("brackets"; its adaptive head on the first
-bracket is counted with it).  The script wraps both where the library
-binds them and counts the integrand at the outermost engine call only, so
-the adaptive splits of a singular end are not counted twice.  Run from the
-root of a checkout (numpy only):
+Every integral runs through one driver, ``quadrature._lockstep``: the
+engines ``adaptive_quad`` and ``oscillatory_semi_infinite`` are its
+one-integral case, and the inverse transform and the moment identity run
+several integrals in one drive.  The script wraps the driver where the
+library binds it and counts at the outermost drive only, so an integral
+whose integrand runs a quadrature of its own is counted once.  Run from
+the root of a checkout (numpy only):
 
     python tools/quad_cost.py
 """
@@ -21,18 +24,15 @@ root of a checkout (numpy only):
 import os
 import sys
 import time
-from collections import defaultdict
 
 import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from bessel4 import measures, quadrature, transforms  # noqa: E402
+from bessel4 import quadrature, transforms  # noqa: E402
 from bessel4.solutions import Params  # noqa: E402
 
 REPEATS = 5
-ENGINES = {"adaptive_quad": "adaptive",
-           "oscillatory_semi_infinite": "brackets"}
 MS = (0.5, 1.0, 2.0)
 X_CUT = 40.0
 
@@ -62,10 +62,14 @@ SITES = [
     ("vanishing_moment",
      [lambda eta=eta, M=M: transforms.vanishing_moment(eta, Params(M))
       for eta, M in zip((0.5, 1.5, 4.0), MS)]),
-    ("generalized_inverse",
+    ("generalized_inverse 1 x",
      [lambda x=x, M=M: transforms.generalized_inverse(gaussian_g(M), Params(M),
                                                       [x])
       for x, M in zip((0.3, 1.0, 2.2), MS)]),
+    ("generalized_inverse 3 x",
+     [lambda M=M: transforms.generalized_inverse(gaussian_g(M), Params(M),
+                                                 [0.3, 1.0, 2.2])
+      for M in MS]),
     ("generalized_parseval",
      [lambda M=M: transforms.generalized_parseval(expdamp, Params(M),
                                                   x_cut=X_CUT)
@@ -77,74 +81,75 @@ SITES = [
 ]
 
 
-class EngineCounter:
-    """Counts integrals, integrand calls, nodes and seconds per engine by
-    wrapping the engines in every module that binds them."""
+class DriverCounter:
+    """Counts integrals, rounds, nodes and seconds of the quadrature driver
+    by wrapping it in every module that binds it."""
 
-    MODULES = (quadrature, transforms, measures)
+    MODULES = (quadrature, transforms)
 
     def __init__(self):
-        self.rows = defaultdict(lambda: [0, 0, 0, 0.0])
+        self.row = [0, 0, 0, 0.0]  # integrals, rounds, nodes, seconds
         self.depth = 0
         self._saved = []
 
     def __enter__(self):
         for module in self.MODULES:
-            for name, engine in ENGINES.items():
-                inner = getattr(module, name, None)
-                if inner is not None:
-                    self._saved.append((module, name, inner))
-                    setattr(module, name, self._counted(engine, inner))
+            inner = module._lockstep
+            self._saved.append((module, inner))
+            module._lockstep = self._counted(inner)
         return self
 
-    def _counted(self, engine, inner):
-        def counted(f, *args, **kwargs):
-            if self.depth:
-                return inner(f, *args, **kwargs)
-            row = self.rows[engine]
+    def _counted(self, inner):
+        row = self.row
 
-            def integrand(x):
+        def counted(f, steps):
+            if self.depth:
+                return inner(f, steps)
+
+            def integrand(x, which):
                 row[1] += 1
                 row[2] += np.size(x)
-                return f(x)
+                return f(x, which)
 
             self.depth += 1
             start = time.perf_counter()
             try:
-                return inner(integrand, *args, **kwargs)
+                return inner(integrand, steps)
             finally:
-                row[0] += 1
+                row[0] += len(steps)
                 row[3] += time.perf_counter() - start
                 self.depth -= 1
         return counted
 
     def __exit__(self, *exc):
-        for module, name, inner in self._saved:
-            setattr(module, name, inner)
+        for module, inner in self._saved:
+            module._lockstep = inner
 
 
 def measure(calls, repeats=REPEATS):
-    """{engine: (integrals, calls, nodes, seconds)} summed over calls; the
-    counts repeat exactly, the seconds are the least over the repeats."""
+    """(integrals, rounds, nodes, seconds) summed over calls; the counts
+    repeat exactly, the seconds are the least over the repeats."""
     for call in calls:
         call()
     runs = []
     for _ in range(repeats):
-        with EngineCounter() as count:
+        with DriverCounter() as count:
             for call in calls:
                 call()
-        runs.append(dict(count.rows))
-    return {engine: row[:3] + [min(run[engine][3] for run in runs)]
-            for engine, row in runs[0].items()}
+        runs.append(count.row)
+    return runs[0][:3] + [min(run[3] for run in runs)]
 
 
-def main():
-    print(f"{'site':<29} {'engine':<8} {'integrals':>9} {'calls':>7} "
-          f"{'nodes':>8} {'ms':>8}")
+def main(argv=None):
+    """Print the table; ``argv`` may give the repeats (default REPEATS)."""
+    argv = sys.argv[1:] if argv is None else argv
+    repeats = int(argv[0]) if argv else REPEATS
+    print(f"{'site':<29} {'integrals':>9} {'rounds':>7} {'nodes':>8} {'ms':>8}")
     for site, calls in SITES:
-        for engine, (n, ncalls, nodes, secs) in sorted(measure(calls).items()):
-            print(f"{site:<29} {engine:<8} {n / len(calls):9.1f} "
-                  f"{ncalls / n:7.1f} {nodes / n:8.0f} {1e3 * secs / n:8.2f}")
+        n, rounds, nodes, secs = measure(calls, repeats)
+        k = len(calls)
+        print(f"{site:<29} {n / k:9.1f} {rounds / k:7.1f} {nodes / k:8.0f} "
+              f"{1e3 * secs / k:8.2f}")
 
 
 if __name__ == "__main__":
