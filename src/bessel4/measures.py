@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .quadrature import ConvergenceError, adaptive_quad
+from .quadrature import (_MAX_PANELS, ConvergenceError, _adaptive_steps,
+                         _lockstep)
 
 
 @dataclass(frozen=True)
@@ -68,7 +69,8 @@ def inner_product(f, g, measure: AtomDensityMeasure, tol=1e-8,
 
     The [0, split] part is integrated adaptively; the tail is mapped by
     u = 1/x onto (0, 1/split], which regularizes every integrand that
-    decays faster than x^-2 (all square-integrable cases used here).
+    decays faster than x^-2 (all square-integrable cases used here).  The
+    two integrals run in lockstep, one call of f and g per round.
     Raises ConvergenceError when the estimated error stays above tol.
     """
     atom = 0.0
@@ -78,26 +80,39 @@ def inner_product(f, g, measure: AtomDensityMeasure, tol=1e-8,
         atom = measure.atom_mass * fa * ga
 
     def body(x):
-        x = np.asarray(x, dtype=float)
         return np.asarray(f(x), dtype=float) * np.asarray(g(x), dtype=float) \
             * measure.density(x)
 
-    core = adaptive_quad(body, 0.0, split, tol=tol / 2)
+    core, tail = _lockstep(lambda u, which: _split_values(body, u, which == 1),
+                           _split_steps(split, tol))
+    return _split_total(core, tail, measure.label, tol, atom)
 
-    def tail_integrand(u):
-        u = np.asarray(u, dtype=float)
-        x = np.where(u > 0.0, 1.0 / np.where(u > 0.0, u, 1.0), np.inf)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            vals = np.where(u > 0.0, body(np.where(u > 0.0, x, split)) / u ** 2, 0.0)
-        return np.where(np.isfinite(vals), vals, 0.0)
 
-    tail = adaptive_quad(tail_integrand, 0.0, 1.0 / split, tol=tol / 2)
-    err = core.error + tail.error
+def _split_steps(split, tol):
+    """Steps of ``inner_product``'s two integrals, to tol/2 each: the core
+    on [0, split], then the tail in u = 1/x on (0, 1/split]."""
+    return [_adaptive_steps(0.0, split, tol / 2, _MAX_PANELS),
+            _adaptive_steps(0.0, 1.0 / split, tol / 2, _MAX_PANELS)]
+
+
+def _split_values(body, nodes, tail):
+    """body at the nodes, where a tail node u stands for x = 1/u and reads
+    body(1/u)/u^2, or 0 where that is not finite (u = 0 included)."""
+    vals = body(np.where(tail, 1.0 / np.where(nodes > 0.0, nodes, np.inf),
+                         nodes))
+    with np.errstate(divide="ignore"):
+        vals = np.where(tail, vals / nodes ** 2, vals)
+    return np.where(tail & ~np.isfinite(vals), 0.0, vals)
+
+
+def _split_total(core, tail, label, tol, atom=0.0):
+    """atom plus the results of the two ``_split_steps`` integrals; raises
+    ConvergenceError unless both converged."""
     value = atom + core.value + tail.value
     if not (core.converged and tail.converged):
         raise ConvergenceError(
-            f"inner product against {measure.label} did not reach tol={tol}",
-            best=value, error=err)
+            f"inner product against {label} did not reach tol={tol}",
+            best=value, error=core.error + tail.error)
     return value
 
 

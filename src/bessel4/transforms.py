@@ -37,10 +37,11 @@ Against the closed forms of exp(-x) and exp(-x^2) at X = 40, lam in
 [8, 320], the forward is within 9.5e-14 (generalized pair, M <= 2) and
 2e-17 (classical) absolute, as the Gauss grid was.  The inverse is an
 adaptive head on lam in [0, 8] plus brackets of spacing
-pi/x summed with epsilon acceleration, the integrals of every x of a grid
-in lockstep (one call of g per round); at x = 0 it is the lam-measure
-integral of g.  When g oscillates on its own (f ends sharply at some E),
-the brackets follow the beat x + E, at x = 0 too.
+pi/x summed with epsilon acceleration; at x = 0 it is the lam-measure
+integral of g.  The integrals of every x of a grid, x = 0 included, run
+in lockstep (one call of g per round).  When g oscillates on its own
+(f ends sharply at some E), the brackets follow the beat x + E, at x = 0
+too.
 
 The truncated orthogonality kernels are evaluated in closed form through
 the Green identity: the boundary term at 0 of two regular solutions
@@ -49,7 +50,9 @@ exactly cancels the M/2 atom, leaving
     kernel(lam, mu, X) = weight(lam) * [J_lam, J_mu](X) / (L(lam) - L(mu)),
 
 an O(1) expression in derivatives 0-3 of J_lam and J_mu at X, at any
-lam X.  A quadrature route is kept for cross-checks.
+lam X.  On and near the diagonal mu == lam they take their limit, which
+for the generalized kernel reads d/dlam J_lam.  A quadrature route is
+kept for cross-checks.
 """
 
 import math
@@ -59,14 +62,14 @@ from typing import Callable
 import numpy as np
 
 from . import classical
-from .measures import (AtomDensityMeasure, inner_product, lebesgue_x,
-                       spectral_measure)
+from .measures import (AtomDensityMeasure, _split_steps, _split_total,
+                       _split_values, lebesgue_x, spectral_measure)
 from .quadrature import (_MAX_PANELS, _adaptive_steps, _gauss, _lockstep,
                          _oscillatory_steps, adaptive_quad,
                          oscillatory_semi_infinite)
-from .solutions import (Params, SolutionHandle, SolutionKind, _regular_derivs,
-                        _structure, eval_jtype_outer, eval_solution,
-                        spectral_value)
+from .solutions import (_REGULAR_SWITCH, Params, SolutionHandle, SolutionKind,
+                        _direct_derivs_scaled, _regular_derivs, _structure,
+                        eval_jtype_outer, eval_solution, spectral_value)
 
 
 # grid nodes (kernel and Filon) per row chunk of lams: a lam whose nodes
@@ -91,7 +94,7 @@ class _Pair:
     with (A, B) = coeffs(lams) where lam x >= 8; the x side is weight x
     plus an atom x_atom at the origin, the lam side is lam_measure.
     lam_cap bounds the lam at which the inverse at x = 0 reads g (see
-    ``_measure_integral``)."""
+    ``_inverse``)."""
 
     kernel: Callable
     coeffs: Callable
@@ -506,63 +509,75 @@ def _ring(panels: _PanelCache, tol):
     return float(end) if xf[nodes > end - width].max() > tol else 0.0
 
 
-def _measure_integral(pair: _Pair, g, tol):
-    """The integral of g over the lam measure: the inverse at x = 0.
-
-    The classical density lam grows, so inner_product's u = 1/lam tail
-    map would scale the forward's rounding by lam^3 and read g at ever
-    larger lam; there g is read up to lam_cap and continued beyond it
-    like lam^-3, the decay of the transform of every smooth profile.
-    """
-    cap = pair.lam_cap
-    if cap < np.inf:
-        g_in, g_cap = g, float(g([cap])[0])
-        g = lambda lam: np.where(lam < cap, g_in(np.minimum(lam, cap)),
-                                 g_cap * (cap / np.maximum(lam, cap)) ** 3)
-    one = lambda t: np.ones_like(np.asarray(t, dtype=float))
-    return inner_product(g, one, pair.lam_measure, tol=tol)
-
-
 def _inverse(pair: _Pair, g, x_grid, tol, lam_tail_start=8.0,
              ring=0.0) -> TransformResult:
     """The inverse transform of g on x_grid (see ``generalized_inverse``).
 
     Each x > 0 takes two lam integrals, an adaptive head on
-    [0, lam_tail_start] and a bracket train beyond it, and the integrals
-    of every x run in lockstep: one call of g per round on the lams of all
-    of them.  Each integral converges on its own, so the values are those
-    of one x at a time, bit for bit.  ``ring`` is the frequency at which g
-    oscillates on its own (see ``_ring``); the brackets then resolve the
-    fastest beat x + ring, and x = 0 runs on brackets too, since the
-    measure integral's tail closure fails on an oscillating g.
+    [0, lam_tail_start] and a bracket train beyond it.  x = 0 takes the
+    two integrals of g over the lam measure that ``inner_product`` runs,
+    on [0, 10] and in u = 1/lam beyond (the lam measures have no atom).
+    The integrals of every x run in lockstep: one call of g per round on
+    the lams of all of them.  Each integral converges on its own, so the
+    values are those of one x at a time, bit for bit.
+
+    The classical density lam grows, so the u = 1/lam map would scale the
+    forward's rounding by lam^3 and read g at ever larger lam; there g is
+    read up to lam_cap and continued beyond it like lam^-3, the decay of
+    the transform of every smooth profile.  ``ring`` is the frequency at
+    which g oscillates on its own (see ``_ring``); the brackets then
+    resolve the fastest beat x + ring, and x = 0 runs on brackets too,
+    since the measure integral's tail closure fails on an oscillating g.
     """
     x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    density = pair.lam_measure.density
-    vals = np.empty_like(x_grid)
+    density, cap = pair.lam_measure.density, pair.lam_cap
     origin = (x_grid == 0.0) & (ring == 0.0)
-    diag = [{"x": 0.0, "mode": "measure-integral"} for _ in x_grid]
-    for i in np.flatnonzero(origin):
-        vals[i] = _measure_integral(pair, g, tol * 1e-2)
-    live = np.flatnonzero(~origin)
-    # integrals 2j and 2j + 1 are the head and the tail of x_grid[live[j]]
-    xs = np.repeat(x_grid[live], 2)
-    shift = np.tile([0.0, lam_tail_start], live.size)
+    # per integral: its x, the shift of its nodes, and whether its nodes u
+    # stand for lam = 1/u; integrals 2j and 2j + 1 belong to x_grid[j]
+    steps, shift, tail = [], [], []
+    for x, at_origin in zip(x_grid, origin):
+        if at_origin:
+            steps += _split_steps(10.0, tol * 1e-2)
+            shift += [0.0, 0.0]
+            tail += [False, True]
+        else:
+            steps += [_adaptive_steps(0.0, lam_tail_start, tol * 1e-2,
+                                      _MAX_PANELS),
+                      _oscillatory_steps(np.pi / (x + ring), tol,
+                                         head_tol=tol * 1e-2)]
+            shift += [0.0, lam_tail_start]
+            tail += [False, False]
+    xs, shift, tail = np.repeat(x_grid, 2), np.array(shift), np.array(tail)
 
     def integrand(nodes, which):
-        lam = nodes + shift[which]
-        return pair.kernel(lam, xs[which]) \
-            * np.asarray(g(lam), dtype=float) * density(lam)
+        x, on_tail = xs[which], tail[which]
 
-    steps = []
-    for x in x_grid[live]:
-        steps += [_adaptive_steps(0.0, lam_tail_start, tol * 1e-2, _MAX_PANELS),
-                  _oscillatory_steps(np.pi / (x + ring), tol, head_tol=tol * 1e-2)]
+        def body(lam):
+            lam = lam + shift[which]
+            big = on_tail & (lam > cap)
+            gv = np.asarray(g(np.where(big, cap, lam)), dtype=float)
+            gv = np.where(big, gv * (cap / lam) ** 3, gv)
+            kern = np.ones_like(lam)  # the kernel is 1 at x = 0
+            live = x > 0.0
+            kern[live] = pair.kernel(lam[live], x[live])
+            return kern * gv * density(lam)
+
+        return _split_values(body, nodes, on_tail)
+
     results = _lockstep(integrand, steps)
-    for i, head, r in zip(live, results[::2], results[1::2]):
-        vals[i] = head.value + r.value
-        diag[i] = {"x": float(x_grid[i]), "head_err": head.error,
-                   "tail_err": r.error, "converged": head.converged and r.converged,
-                   "brackets": r.brackets}
+    vals = np.empty_like(x_grid)
+    diag = []
+    for i, (first, second) in enumerate(zip(results[::2], results[1::2])):
+        if origin[i]:
+            vals[i] = _split_total(first, second, pair.lam_measure.label,
+                                   tol * 1e-2)
+            diag.append({"x": 0.0, "mode": "measure-integral"})
+            continue
+        vals[i] = first.value + second.value
+        diag.append({"x": float(x_grid[i]), "head_err": first.error,
+                     "tail_err": second.error,
+                     "converged": first.converged and second.converged,
+                     "brackets": second.brackets})
     return TransformResult(grid=x_grid, values=vals, diagnostics={"points": diag})
 
 
@@ -724,15 +739,27 @@ def _classical_side(lam, X):
     return classical.j0(z), classical.j1(z)
 
 
+# Within this relative distance of the diagonal mu == lam, the delta
+# kernels take their value on it: the closed forms divide a difference
+# that cancels like |mu - lam| by another, and at a relative distance d
+# err by about 1e-16/d, while the diagonal value errs by about d.  At
+# d = 1e-8 both err by at most 2e-8.
+_NEAR_DIAGONAL = 1e-8
+
+
+def _near_diagonal(lam, mu):
+    return np.abs(mu - lam) <= _NEAR_DIAGONAL * lam
+
+
 def _classical_kernel(lam, side, mu, X):
     """The closed form of ``ortho_kernel_classical`` at the arrays lam and
-    mu, with lam's ``_classical_side`` given; where mu == lam, its limit
-    lam X^2/2 (J0(lam X)^2 + J1(lam X)^2)."""
+    mu, with lam's ``_classical_side`` given; near mu == lam (see
+    ``_NEAR_DIAGONAL``), its limit lam X^2/2 (J0(lam X)^2 + J1(lam X)^2)."""
     jl0, jl1 = side
     jm0, jm1 = _classical_side(mu, X)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = lam * (X * (lam * jl1 * jm0 - mu * jl0 * jm1)) / (lam ** 2 - mu ** 2)
-    diag = lam == mu
+    diag = _near_diagonal(lam, mu)
     if np.any(diag):
         out = np.where(diag, lam * X * X / 2.0 * (jl0 * jl0 + jl1 * jl1), out)
     return out
@@ -753,28 +780,53 @@ def ortho_kernel_classical(lmb, mu, X, method="closed"):
     return float(out[0]) if scalar else out
 
 
-def _generalized_side(lam, params: Params, X):
+def _generalized_side(lam, params: Params, X, order=3):
     """What the generalized delta kernel reads at one of its two spectral
-    points: J_lam and its x-derivatives 1-3 at X, and L(lam)."""
-    return _regular_derivs(SolutionKind.jtype, lam, X, params, 3), \
+    points: J_lam and its x-derivatives 1-order at X, and L(lam).  The
+    kernel's lam side needs order 4 for the diagonal."""
+    return _regular_derivs(SolutionKind.jtype, lam, X, params, order), \
         spectral_value(lam, params)
+
+
+def _bracket(dl, dm, X, M):
+    """The boundary form [J_lam, J_mu](X) from derivatives 0-3 of each."""
+    w = 9.0 / X + 8.0 * X / M
+    return (dm[0] * (X * dl[3] + dl[2]) - (X * dm[3] + dm[2]) * dl[0]
+            - X * (dm[1] * dl[2] - dm[2] * dl[1])
+            - w * (dm[0] * dl[1] - dm[1] * dl[0]))
+
+
+def _generalized_diagonal(lam, side, weight, params: Params, X):
+    """``ortho_kernel_generalized`` at mu == lam, the limit of the closed
+    form: -weight [J_lam, d/dlam J_lam](X) / L'(lam), with L'(lam) =
+    4 lam^3 + 16 lam/M and d/dlam J_lam(x) = (x/lam) J_lam'(x) -
+    (M lam/2) J2(lam x), given lam's ``_generalized_side`` at order 4.
+    Below lam X = 4, where J2 = 2 J1/z - J0 cancels, the quad route."""
+    M = params.M
+    if lam * X < _REGULAR_SWITCH:
+        return ortho_kernel_generalized(lam, lam, params, X, method="quad")
+    dl = side[0]
+    j2 = _direct_derivs_scaled(SolutionKind.jtype, lam, -1.0, 2.0, X, 3)[:, 0]
+    # x-derivative n of d/dlam J_lam: (n J^(n) + x J^(n+1))/lam minus
+    # (M lam/2) times that of J2(lam x)
+    dlam = ((np.arange(4) * dl[:4] + X * dl[1:]) / lam
+            - (M * lam / 2.0) * j2)
+    return -weight * _bracket(dl, dlam, X, M) \
+        / (4.0 * lam ** 3 + 16.0 * lam / M)
 
 
 def _generalized_kernel(lam, side, weight, mu, params: Params, X):
     """The closed form of ``ortho_kernel_generalized`` at the scalar lam
-    and the array mu, with lam's ``_generalized_side`` and density weight
-    given; where mu == lam, the quad route's value."""
+    and the array mu, with lam's ``_generalized_side`` at order 4 and its
+    density weight given; near mu == lam (see ``_NEAR_DIAGONAL``), the
+    diagonal value."""
     dl, L = side
     dm, Lm = _generalized_side(mu, params, X)
-    w = 9.0 / X + 8.0 * X / params.M
-    sym = (dm[0] * (X * dl[3] + dl[2]) - (X * dm[3] + dm[2]) * dl[0]
-           - X * (dm[1] * dl[2] - dm[2] * dl[1])
-           - w * (dm[0] * dl[1] - dm[1] * dl[0]))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = weight * sym / (L - Lm)
-    diag = mu == lam
+        out = weight * _bracket(dl, dm, X, params.M) / (L - Lm)
+    diag = _near_diagonal(lam, mu)
     if np.any(diag):
-        out[diag] = ortho_kernel_generalized(lam, lam, params, X, method="quad")
+        out[diag] = _generalized_diagonal(lam, side, weight, params, X)
     return out
 
 
@@ -783,9 +835,9 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
 
     The closed route uses the Green identity: the truncated integral is
     [J_lam, J_mu](X)/(L(lam)-L(mu)) minus the boundary term at 0, and the
-    0-term is exactly -(M/2)(L(lam)-L(mu)), cancelling the atom.  On the
-    diagonal mu == lam, where that quotient reads 0/0, it takes the quad
-    route.
+    0-term is exactly -(M/2)(L(lam)-L(mu)), cancelling the atom.  On and
+    near the diagonal mu == lam, where that quotient reads 0/0, it takes
+    its limit (see ``_generalized_diagonal``).
     """
     M = params.M
     weight = spectral_measure(M).density(lmb)
@@ -799,8 +851,8 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
         return weight * (val + M / 2.0)
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     # the lam side once, broadcast against every mu
-    out = _generalized_kernel(lmb, _generalized_side(lmb, params, X), weight,
-                              mu_arr, params, X)
+    out = _generalized_kernel(lmb, _generalized_side(lmb, params, X, 4),
+                              weight, mu_arr, params, X)
     return float(out[0]) if np.ndim(mu) == 0 else out
 
 
@@ -830,7 +882,7 @@ def weak_delta_probe(kind, lam0, X, params: Params = None, half_width=0.5,
         side = _classical_side(lam0, X)
         fn = lambda mu: _classical_kernel(lam0, side, mu, X) * phi(mu)
     elif kind == "generalized":
-        side = _generalized_side(lam0, params, X)
+        side = _generalized_side(lam0, params, X, 4)
         weight = spectral_measure(params.M).density(lam0)
         fn = lambda mu: _generalized_kernel(lam0, side, weight, mu, params, X) \
             * phi(mu)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bessel4 import classical as cb
+from bessel4 import quadrature
 from bessel4.measures import (inner_product, jump_measure, lebesgue_x,
                               spectral_measure, spectral_total_mass)
 from bessel4.quadrature import (_adaptive_steps, _lockstep,
@@ -154,10 +155,10 @@ def test_integrand_sees_only_arrays_inside_the_interval():
         r = adaptive_quad(f, 2.0, 3.0, tol=1e-10, singular=singular)
         assert r.converged
         assert r.value == pytest.approx(0.35487652652232226, abs=1e-9)
-        # one call per round of bisections, on whole Gauss panel pairs
-        assert all(c.size % 30 == 0 for c in calls)
+        # one call per round of bisections, on whole 21-node panels
+        assert all(c.size % 21 == 0 for c in calls)
         assert sum(c.size for c in calls) == r.neval
-        ncalls, npairs = ncalls + len(calls), npairs + r.neval // 30
+        ncalls, npairs = ncalls + len(calls), npairs + r.neval // 21
         assert all(c.ndim == 1 and np.all((c > 2.0) & (c < 3.0)) for c in calls)
     assert ncalls < npairs
     calls.clear()
@@ -167,7 +168,8 @@ def test_integrand_sees_only_arrays_inside_the_interval():
 
 def test_first_bracket_call_holds_head_panel_and_sixteen_brackets():
     # no converged exit reads fewer than 16 bracket sums, so the first call
-    # takes the head's first Gauss panel pair and brackets 0-15 together
+    # takes the head's first panel (21 nodes) and brackets 0-15 (10 Gauss
+    # nodes each) together
     calls = []
 
     def f(x):
@@ -178,13 +180,13 @@ def test_first_bracket_call_holds_head_panel_and_sixteen_brackets():
     r = oscillatory_semi_infinite(f, h, tol=1e-6)
     assert r.converged and r.value == pytest.approx(1.0, abs=1e-6)
     first = calls[0]
-    assert first.size == 30 + 16 * 16
-    head, brackets = first[:30], first[30:].reshape(16, 16)
+    assert first.size == 21 + 16 * 10
+    head, brackets = first[:21], first[21:].reshape(16, 10)
     assert np.all((head > 0.0) & (head < h))
     lo = h + h * np.arange(16)
     assert np.all((brackets > lo[:, None]) & (brackets < lo[:, None] + h))
     # later calls: a round of the head's bisections, or 8 more brackets
-    assert all(c.size % 60 == 0 or c.size == 8 * 16 for c in calls[1:])
+    assert all(c.size % 42 == 0 or c.size == 8 * 10 for c in calls[1:])
 
 
 @pytest.mark.parametrize("start", [0.0, -1.0, np.nan])
@@ -241,9 +243,9 @@ def test_batched_core_meets_tol_on_exact_integrals(f, a, b, singular, tol, exact
 
 
 def test_degree_19_polynomial_takes_one_panel():
-    # the 10-point rule is exact to degree 19, so coarse and fine agree
+    # the 10-point rule is exact to degree 19, so G10 and K21 agree
     r = adaptive_quad(lambda x: x ** 19, 0.0, 1.0, tol=1e-14)
-    assert r.neval == 30
+    assert r.neval == 21
 
 
 def test_batched_core_splits_many_panels_per_call():
@@ -255,15 +257,15 @@ def test_batched_core_splits_many_panels_per_call():
 
     r = adaptive_quad(f, -1.0, 1.0, tol=1e-10)
     assert r.converged and sum(sizes) == r.neval
-    assert all(n % 30 == 0 for n in sizes)
-    assert len(sizes) < r.neval // 30
+    assert all(n % 21 == 0 for n in sizes)
+    assert len(sizes) < r.neval // 21
 
 
 @pytest.mark.parametrize("max_panels", [1, 2, 4, 7, 50])
 def test_max_panels_caps_bisections(max_panels):
     r = adaptive_quad(lambda x: np.sin(50.0 * x), 0.0, 20.0, tol=1e-12,
                       max_panels=max_panels)
-    assert r.neval <= 30 + 60 * max_panels
+    assert r.neval <= 21 + 42 * max_panels
     assert not r.converged
 
 
@@ -272,7 +274,7 @@ def test_jump_with_zero_tol_terminates():
     # it is set aside; every other panel has a constant integrand
     r = adaptive_quad(lambda x: (x > 1.0 / 3.0).astype(float), 0.0, 1.0,
                       tol=0.0)
-    assert r.neval <= 30 + 60 * 4000
+    assert r.neval <= 21 + 42 * 4000
     assert r.value == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
@@ -298,3 +300,59 @@ def test_adaptive_quad_reports_exhaustion():
                       max_panels=4)
     assert not r.converged
     assert np.isfinite(r.value) and r.error > 1e-12
+
+
+def test_kronrod_table_is_symmetric_nested_and_exact():
+    mp = pytest.importorskip("mpmath")
+    x, wk, wg = quadrature._K21_X, quadrature._K21_W, quadrature._G10_W
+    assert x.size == wk.size == 21 and wg.size == 10
+    assert np.array_equal(x, -x[::-1]) and x[10] == 0.0
+    assert np.array_equal(wk, wk[::-1]) and np.array_equal(wg, wg[::-1])
+    assert np.all(np.diff(x) > 0.0) and np.all(wk > 0.0) and np.all(wg > 0.0)
+    # G10 is nested: its nodes are K21's odd ones
+    gx = quadrature._gauss(10)[0]
+    assert np.all(np.abs(x[1::2] - gx) <= np.spacing(np.abs(gx)))
+    mp.mp.dps = 40
+    try:
+        def worst(nodes, weights, degree):
+            nodes = [mp.mpf(float(v)) for v in nodes]
+            weights = [mp.mpf(float(v)) for v in weights]
+            return max(abs(mp.fsum(w * t ** k for t, w in zip(nodes, weights))
+                           - (mp.mpf(2) / (k + 1) if k % 2 == 0 else 0))
+                       for k in range(degree + 1))
+        assert worst(x, wk, 31) <= 1e-15
+        assert worst(x[1::2], wg, 19) <= 1e-15
+        assert worst(x, wk, 32) > 1e-13  # and no further
+    finally:
+        mp.mp.dps = 15
+
+
+def test_running_error_survives_a_non_finite_panel():
+    # the first panel reads inf at one node and carries the error 1e300;
+    # once its halves replace it, that error must leave the running total,
+    # or the total cancels to about 0 and the loop stops after one round
+    x0 = 1.5 + 1.5 * quadrature._K21_X[3]
+    r = adaptive_quad(lambda x: np.where(x == x0, np.inf, np.cos(50.0 * x)),
+                      0.0, 3.0, tol=1e-10)
+    assert r.converged and r.neval > 21 + 42
+    assert r.value == pytest.approx(np.sin(150.0) / 50.0, abs=1e-10)
+
+
+def test_steps_at_seeded_positions_rarely_fail_silently():
+    # a silent failure is a result flagged converged whose error exceeds
+    # 10 max(tol, estimate); G10/K21 leaves 15 of 1000 at 1e-6 and 39 at
+    # 1e-10 (the nested 10/20-point Gauss estimate left 683 and 920),
+    # and a null-rule estimate is the step to none
+    pos = np.random.default_rng(7).uniform(0.0, 1.0, 1000)
+    for tol, cap in ((1e-6, 20), (1e-10, 50)):
+        silent = 0
+        for s in pos:
+            r = adaptive_quad(lambda x: (x > s).astype(float), 0.0, 1.0,
+                              tol=tol)
+            err = abs(r.value - (1.0 - s))
+            silent += r.converged and err > 10.0 * max(tol, r.error)
+        assert silent <= cap
+    # the two jumps whose panels the 10/20-point estimate read as exact
+    for s in (np.pi / 4.0, np.sqrt(2.0) - 1.0):
+        r = adaptive_quad(lambda x: (x > s).astype(float), 0.0, 1.0, tol=1e-12)
+        assert r.converged and abs(r.value - (1.0 - s)) <= max(1e-12, r.error)

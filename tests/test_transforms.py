@@ -279,9 +279,20 @@ def test_delta_kernels_on_the_diagonal(lam, X):
     for got in (tr.ortho_kernel_generalized(lam, lam, P1, X),
                 tr.ortho_kernel_generalized(lam, mu, P1, X)[1]):
         assert got == pytest.approx(quad, rel=1e-8)
-    # the diagonal is the limit of the off-diagonal closed form
-    near = tr.ortho_kernel_generalized(lam, lam * (1.0 + 1e-9), P1, X)
-    assert near == pytest.approx(quad, rel=1e-5)
+    # near it the closed forms divide two differences that cancel like
+    # |mu - lam|; within 1e-8 of lam (relative) both kernels take their
+    # diagonal value, so from one ulp off the diagonal out they stay within
+    # 3e-8 of the quad route, for scalars and inside arrays
+    mus = np.concatenate([[np.nextafter(lam, np.inf)],
+                          lam * (1.0 + np.array([1e-15, 1e-13, 1e-11, 1e-9,
+                                                 1e-7]))])
+    kernels = (lambda mu, **kw: tr.ortho_kernel_classical(lam, mu, X, **kw),
+               lambda mu, **kw: tr.ortho_kernel_generalized(lam, mu, P1, X,
+                                                            **kw))
+    for kernel in kernels:
+        quad = np.array([kernel(mu, method="quad") for mu in mus])
+        assert kernel(mus) == pytest.approx(quad, rel=3e-8)
+        assert [kernel(mu) for mu in mus] == pytest.approx(quad, rel=3e-8)
 
 
 def test_fixture_suite_contents():
@@ -363,6 +374,81 @@ def test_inverse_grid_runs_its_integrals_in_lockstep():
         alone.append(len(calls))
     assert rounds <= max(alone)
     assert np.allclose(grid.values, np.exp(-np.square(xs)), atol=1e-5)
+
+
+@pytest.mark.parametrize("lam, M, X", [(1.3, 1.0, 200.0), (0.4, 1.0, 30.0),
+                                       (2.7, 0.6, 200.0), (0.8, 1.9, 50.0)])
+def test_generalized_kernel_diagonal_in_closed_form(lam, M, X, monkeypatch):
+    # -weight [J_lam, d/dlam J_lam](X) / L'(lam) where lam X >= 4: no
+    # quadrature, and the quad route's value to rounding
+    quad = tr.ortho_kernel_generalized(lam, lam, Params(M), X, method="quad")
+
+    def no_quad(*args, **kwargs):
+        raise AssertionError("the diagonal took the quad route")
+
+    monkeypatch.setattr(tr, "adaptive_quad", no_quad)
+    got = tr.ortho_kernel_generalized(lam, lam, Params(M), X)
+    assert got == pytest.approx(quad, rel=1e-13)
+
+
+def test_inverse_at_the_origin_joins_the_grid_drive():
+    # x = 0 runs the measure integral's core and u = 1/lam tail in the
+    # same lockstep drive as the other x: g is called 3 times on [0] and
+    # on [0, 0.5, 2] (one drive after the other read 4 and 7), and the
+    # origin's value is inner_product's, bit for bit
+    from bessel4.measures import inner_product, spectral_measure
+    M = 1.0
+    calls = []
+
+    def g(lam):
+        calls.append(np.size(lam))
+        lam = np.asarray(lam, dtype=float)
+        return np.exp(-lam * lam / 4.0) * ((1.0 + M * lam * lam / 4.0) / 2.0
+                                           + M / 2.0)
+
+    origin = tr.generalized_inverse(g, Params(M), [0.0])
+    assert len(calls) == 3
+    calls.clear()
+    grid = tr.generalized_inverse(g, Params(M), [0.0, 0.5, 2.0])
+    assert len(calls) == 3
+    assert grid.values[0] == origin.values[0]
+    assert grid.diagnostics["points"][0] == {"x": 0.0,
+                                             "mode": "measure-integral"}
+    one = lambda lam: np.ones_like(np.asarray(lam, dtype=float))
+    assert origin.values[0] == inner_product(g, one, spectral_measure(M),
+                                             tol=1e-8)
+    assert np.allclose(grid.values, np.exp(-np.square([0.0, 0.5, 2.0])),
+                       atol=1e-6)
+
+
+def test_ten_node_brackets_match_sixteen_node_brackets():
+    # a bracket spans half an oscillation of the inverse integrand, where
+    # G10 (exact to degree 19) gives the 16-node sums: the partial sums of
+    # the inverse integral (the head on [0, 8], then 16 brackets of width
+    # pi/(x + ring)) agree within 1e-13 of their size, for every fixture
+    x16, w16 = quadrature._gauss(16)
+    for fx in load_suite():
+        for x, M in ((0.5, 1.0), (1.0, 0.7), (2.0, 1.6)):
+            pair = tr._generalized_pair(Params(M))
+            gev = tr._ForwardEvaluator(fx, pair, x_cut=fx.x_cut)
+            h = np.pi / (x + tr._ring(gev.panels, 1e-6))
+
+            def f(lam):
+                return pair.kernel(lam, x) * gev(lam) \
+                    * pair.lam_measure.density(lam)
+
+            head = tr.adaptive_quad(f, 0.0, 8.0, tol=1e-10).value
+            mids = 8.0 + h * (np.arange(16) + 0.5)
+
+            def sums(nodes, weights):
+                lam = mids[:, None] + 0.5 * h * nodes
+                return head + np.cumsum(0.5 * h * f(lam.ravel())
+                                        .reshape(lam.shape) @ weights)
+
+            ten = sums(quadrature._G10_X, quadrature._G10_W)
+            sixteen = sums(x16, w16)
+            scale = np.max(np.abs(sixteen))
+            assert np.max(np.abs(ten - sixteen)) <= 1e-13 * scale
 
 
 def test_quad_cost_tool_runs_at_small_size(capsys):

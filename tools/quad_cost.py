@@ -12,11 +12,11 @@ input and prints, per call of the site,
 
 Every integral runs through one driver, ``quadrature._lockstep``: the
 engines ``adaptive_quad`` and ``oscillatory_semi_infinite`` are its
-one-integral case, and the inverse transform and the moment identity run
-several integrals in one drive.  The script wraps the driver where the
-library binds it and counts at the outermost drive only, so an integral
-whose integrand runs a quadrature of its own is counted once.  Run from
-the root of a checkout (numpy only):
+one-integral case, and the inverse transform, the moment identity and
+``measures.inner_product`` run several integrals in one drive.  The
+script wraps the driver where the library binds it and counts at the
+outermost drive only, so an integral whose integrand runs a quadrature of
+its own is counted once.  Run from the root of a checkout (numpy only):
 
     python tools/quad_cost.py
 """
@@ -29,7 +29,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from bessel4 import quadrature, transforms  # noqa: E402
+from bessel4 import measures, quadrature, transforms  # noqa: E402
 from bessel4.solutions import Params  # noqa: E402
 
 REPEATS = 5
@@ -85,7 +85,7 @@ class DriverCounter:
     """Counts integrals, rounds, nodes and seconds of the quadrature driver
     by wrapping it in every module that binds it."""
 
-    MODULES = (quadrature, transforms)
+    MODULES = (measures, quadrature, transforms)
 
     def __init__(self):
         self.row = [0, 0, 0, 0.0]  # integrals, rounds, nodes, seconds
