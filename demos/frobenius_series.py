@@ -8,14 +8,15 @@ basis at the lower roots.
 
 import numpy as np
 
-from bessel4.frobenius import (OdeSpec, indicial_roots, leading_constant_report,
+from bessel4.equation import equation_op
+from bessel4.frobenius import (indicial_roots, leading_constant_report,
                                log_case_basis, substitution_residual, y4_series)
 from bessel4.solutions import Params
 
 P = Params(1.0)
 for order in (4, 6, 8):
-    spec = OdeSpec.build(order, P, 1.0)
-    print(f"order {order}: indicial roots {indicial_roots(spec)}")
+    roots = indicial_roots(equation_op(order, P, 1.0))
+    print(f"order {order}: indicial roots {roots}")
 
 print("\npure-power solution at the top root (M = 1, L = 1):")
 fs = y4_series(1.0, P, N=16)

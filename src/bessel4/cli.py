@@ -20,6 +20,7 @@ from . import frobenius as fr
 from . import plum
 from . import spectral as sp
 from . import transforms as tr
+from .equation import equation_op
 from .fixtures import load_suite
 from .quadrature import ConvergenceError
 from .solutions import Params, SolutionHandle, SolutionKind, eval_solution
@@ -96,8 +97,7 @@ def cmd_eval(args):
 
 def cmd_series(args):
     params = Params(args.M)
-    spec = fr.OdeSpec.build(args.order, params, args.Lambda)
-    roots = fr.indicial_roots(spec)
+    roots = fr.indicial_roots(equation_op(args.order, params, args.Lambda))
     rows = []
     if args.order == 4:
         y4 = fr.y4_series(args.Lambda, params, N=args.N)
@@ -124,8 +124,7 @@ def cmd_transform(args):
     params = Params(args.M)
     fx = _fixture(args.function)
     grid = parse_grid(args.grid)
-    res = tr.generalized_forward(fx, params, grid, tol=args.tol,
-                                 x_cut=fx.x_cut)
+    res = tr.generalized_forward(fx, params, grid, x_cut=fx.x_cut)
     lhs, rhs = tr.generalized_parseval(fx, params, x_cut=fx.x_cut)
     rows = list(zip(grid, res.values))
     _emit(args, ("lambda", "g"), rows,
@@ -213,7 +212,6 @@ def build_parser():
     def common(sp_, grid_default):
         sp_.add_argument("--M", type=float, default=1.0)
         sp_.add_argument("--grid", default=grid_default)
-        sp_.add_argument("--tol", type=float, default=1e-6)
 
     q = sub.add_parser("eval", help="tabulate the four solutions")
     common(q, "0.1:10:50:log")
@@ -234,6 +232,7 @@ def build_parser():
 
     q = sub.add_parser("inverse", help="roundtrip reconstruction of a fixture")
     common(q, "0.25:4:8:linear")
+    q.add_argument("--tol", type=float, default=1e-6)
     q.add_argument("--function", default="gaussian")
     q.set_defaults(fn=cmd_inverse)
 
@@ -246,6 +245,7 @@ def build_parser():
 
     q = sub.add_parser("pde-residual", help="planar separation residual table")
     common(q, "0.2:5:10:linear")
+    q.add_argument("--tol", type=float, default=1e-6)
     q.add_argument("--lam", "--lambda", dest="lam", type=float, default=1.0)
     q.add_argument("--thetas", type=int, default=8)
     q.set_defaults(fn=cmd_pde_residual)

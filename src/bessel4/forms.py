@@ -2,12 +2,14 @@
 
 Central objects:
 
-* ``apply_expression``: (x f'')'' - ((9/x + 8x/M) f')', expanded once to
-  x f'''' + 2 f''' - (9/x + 8x/M) f'' + (9/x^2 - 8/M) f' and evaluated
-  from analytic derivative bundles; near the origin it switches to exact
-  symbolic application on a local log-power series, because the expanded
-  form cancels x^-5-sized pieces down to O(1) there and float evaluation
-  would drown the residual in rounding noise.
+* ``apply_expression`` ((x f'')'' - ((9/x + 8x/M) f')'),
+  ``residual_expression`` and ``apply_higher_order`` (orders 6 and 8):
+  the operators of ``equation.equation_op``, applied to analytic
+  derivative bundles by one private applier.  Near the origin it works
+  by exact symbolic application on a local log-power series, because
+  the expanded form cancels x^-5-sized pieces down to O(1) there and
+  float evaluation would drown the residual in rounding noise; elsewhere
+  it reads the derivative stack.
 * the symplectic form [f, g](x) from the Green identity and the Dirichlet
   form [f, g]_D(x), with interval checkers for both integral identities.
 * ``boundary_data``: the limits f(0), f''(0) by Richardson extrapolation
@@ -17,7 +19,6 @@ Central objects:
   identities [f,1](0+) = -8 f''(0) and [f,x^2](0+) = 16 f(0).
 * ``apply_jump_operator``: the operator of the jump space, equal to
   -8 f''(0)/k at the origin and x^-1 (expression) elsewhere.
-* ``apply_higher_order``: the sixth- and eighth-order analogues.
 
 All bundles are immutable views; everything here is pure.
 """
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equation import boundary_form, equation_op, weight
 from .logseries import DiffOp, LogPowerSeries
 from .quadrature import adaptive_quad
 from .solutions import (Params, SolutionHandle, eval_solution_derivs,
@@ -244,63 +246,54 @@ def as_bundle(obj) -> FnBundle:
 
 
 # ---------------------------------------------------------------------------
-# the fourth-order expression
+# the expressions
 
-def expression_op(params: Params, Lambda=None) -> DiffOp:
-    """x D^4 + 2 D^3 - (9/x + 8x/M) D^2 + (9/x^2 - 8/M) D [- Lambda x]."""
-    m = params.M
-    ops = [(1, 4, 1), (0, 3, 2), (-1, 2, -9), (1, 2, -8.0 / m),
-           (-2, 1, 9), (0, 1, -8.0 / m)]
-    if Lambda is not None:
-        ops.append((1, 0, -float(Lambda)))
-    return DiffOp(ops)
-
-
-def apply_expression(f, x, params: Params):
-    """(x f'')'' - ((9/x + 8x/M) f')' at the points x."""
+def _apply(f, op: DiffOp, x):
+    """(op[f], f) on the points x, as arrays: exact symbolic application
+    on f's local series below its radius (where the expanded form would
+    cancel x^-5-sized pieces down to O(1) in floats), the derivative
+    stack elsewhere."""
     f = as_bundle(f)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    op = expression_op(params)
+    out, val = np.empty_like(arr), np.empty_like(arr)
     small = arr < f.series_valid_below
-    out = np.empty_like(arr)
     if np.any(small):
         series = f.local_series(arr[small])
         if series is not None:
             out[small] = np.atleast_1d(op.apply(series).evaluate(arr[small]))
+            val[small] = np.atleast_1d(series.evaluate(arr[small]))
         else:
             small = np.zeros_like(small)
     if np.any(~small):
-        d = f.derivs(arr[~small], 4)
+        d = f.derivs(arr[~small], max(j for _, j, _ in op.ops))
         out[~small] = op.evaluate_on(d, arr[~small])
+        val[~small] = d[0]
+    return out, val
+
+
+def apply_expression(f, x, params: Params):
+    """(x f'')'' - ((9/x + 8x/M) f')' at the points x."""
+    out, _ = _apply(f, equation_op(4, params), x)
     return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def residual_expression(f, Lambda, grid, params: Params):
     """max over the grid of |expression[f] - Lambda x f| / (1 + |Lambda x f|)."""
-    if isinstance(f, SolutionHandle):
-        f = SolutionBundle(f)
-    f = as_bundle(f)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    op_res = None
-    worst = 0.0
-    small = grid < f.series_valid_below
-    if np.any(small):
-        series = f.local_series(grid[small])
-        if series is not None:
-            op_res = expression_op(params, Lambda=Lambda).apply(series)
-            num = np.abs(np.atleast_1d(op_res.evaluate(grid[small])))
-            den = 1.0 + np.abs(Lambda * grid[small]
-                               * np.atleast_1d(series.evaluate(grid[small])))
-            worst = float(np.max(num / den))
-        else:
-            small = np.zeros_like(small)
-    if np.any(~small):
-        xs = grid[~small]
-        d = f.derivs(xs, 4)
-        lhs = expression_op(params).evaluate_on(d, xs)
-        rhs = Lambda * xs * d[0]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(rhs)))))
-    return worst
+    res, val = _apply(f, equation_op(4, params, Lambda), grid)
+    return float(np.max(np.abs(res) / (1.0 + np.abs(Lambda * grid * val))))
+
+
+def apply_higher_order(order, f, x, params: Params):
+    """The sixth- or eighth-order Lagrange-symmetric expression at x.
+
+    Needs derivative data to the matching order; accepts an FnBundle whose
+    ``derivs`` honours order 6 or 8, or a LogPowerSeries bundle.
+    """
+    if order not in (6, 8):
+        raise ValueError("order must be 6 or 8")
+    out, _ = _apply(f, equation_op(order, params), x)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +304,7 @@ def symplectic_form(f, g, x, params: Params):
     - (9/x + 8x/M) (g f' - g' f), for real-valued bundles."""
     f, g = as_bundle(f), as_bundle(g)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    df = f.derivs(arr, 3)
-    dg = g.derivs(arr, 3)
-    w = 9.0 / arr + 8.0 * arr / params.M
-    val = (dg[0] * (arr * df[3] + df[2])
-           - (arr * dg[3] + dg[2]) * df[0]
-           - arr * (dg[1] * df[2] - dg[2] * df[1])
-           - w * (dg[0] * df[1] - dg[1] * df[0]))
+    val = boundary_form(f.derivs(arr, 3), g.derivs(arr, 3), arr, params.M)
     return float(val[0]) if np.ndim(x) == 0 else val
 
 
@@ -327,9 +314,8 @@ def dirichlet_form(f, g, x, params: Params):
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     df = f.derivs(arr, 3)
     dg = g.derivs(arr, 1)
-    w = 9.0 / arr + 8.0 * arr / params.M
     val = (-dg[0] * (arr * df[3] + df[2]) + dg[1] * arr * df[2]
-           + dg[0] * w * df[1])
+           + dg[0] * weight(arr, params.M) * df[1])
     return float(val[0]) if np.ndim(x) == 0 else val
 
 
@@ -364,7 +350,7 @@ def dirichlet_check(f, g, a, b, params: Params, tol=1e-9):
     def energy(x):
         df = f.derivs(x, 2)
         dg = g.derivs(x, 2)
-        return x * df[2] * dg[2] + (9.0 / x + 8.0 * x / params.M) * df[1] * dg[1]
+        return x * df[2] * dg[2] + weight(x, params.M) * df[1] * dg[1]
 
     def rhs_int(x):
         return apply_expression(f, x, params) * g.derivs(x, 0)[0]
@@ -392,6 +378,10 @@ class NotInMaximalDomain(ValueError):
 
 _ONE = SeriesBundle.monomial(0)
 _XSQ = SeriesBundle.monomial(2)
+# the ratio-2 grid below 1e-2 of ``boundary_data``, and the relative
+# tolerance of its cross-checks
+_BOUNDARY_GRID = 1e-2 / 2.0 ** np.arange(5)
+_CHECK_TOL = 1e-5
 
 
 def _ladder(values, exponents=(2, 2, 4, 4)):
@@ -410,28 +400,26 @@ def _ladder(values, exponents=(2, 2, 4, 4)):
     return seq[-1]
 
 
-def boundary_data(f, params: Params, x0=1e-2, levels=4, check_tol=1e-5,
-                  check=True) -> BoundaryData:
+def boundary_data(f, params: Params) -> BoundaryData:
     """Extrapolated limits f(0+), f''(0+) for a maximal-domain function.
 
     Cross-checks against the symplectic-form identities; a relative
-    mismatch above check_tol raises NotInMaximalDomain.
+    mismatch above ``_CHECK_TOL`` raises NotInMaximalDomain.
     """
     f = as_bundle(f)
-    grid = x0 / 2.0 ** np.arange(levels + 1)
+    grid = _BOUNDARY_GRID
     d = f.derivs(grid, 2)
     f0 = _ladder(d[0])
     f2 = _ladder(d[2])
-    if check:
-        s1 = _ladder(symplectic_form(f, _ONE, grid, params))
-        s2 = _ladder(symplectic_form(f, _XSQ, grid, params))
-        scale = 1.0 + abs(f0) + abs(f2)
-        if abs(s1 - (-8.0 * f2)) > 8.0 * check_tol * scale \
-                or abs(s2 - 16.0 * f0) > 16.0 * check_tol * scale:
-            raise NotInMaximalDomain(
-                f"boundary cross-checks failed: [f,1](0+)={s1:.3e} vs "
-                f"-8 f''(0)={-8.0 * f2:.3e}; [f,x^2](0+)={s2:.3e} vs "
-                f"16 f(0)={16.0 * f0:.3e}")
+    s1 = _ladder(symplectic_form(f, _ONE, grid, params))
+    s2 = _ladder(symplectic_form(f, _XSQ, grid, params))
+    scale = 1.0 + abs(f0) + abs(f2)
+    if abs(s1 - (-8.0 * f2)) > 8.0 * _CHECK_TOL * scale \
+            or abs(s2 - 16.0 * f0) > 16.0 * _CHECK_TOL * scale:
+        raise NotInMaximalDomain(
+            f"boundary cross-checks failed: [f,1](0+)={s1:.3e} vs "
+            f"-8 f''(0)={-8.0 * f2:.3e}; [f,x^2](0+)={s2:.3e} vs "
+            f"16 f(0)={16.0 * f0:.3e}")
     return BoundaryData(f0=float(f0), f2=float(f2))
 
 
@@ -462,25 +450,6 @@ def apply_jump_operator(f, k, x, params: Params, boundary: BoundaryData = None):
     return float(out[0]) if scalar else out
 
 
-def apply_higher_order(order, f, x, params: Params):
-    """The sixth- or eighth-order Lagrange-symmetric expression at x.
-
-    Needs derivative data to the matching order; accepts an FnBundle whose
-    ``derivs`` honours order 6 or 8, or a LogPowerSeries bundle.
-    """
-    from .frobenius import higher_order_op  # local import to avoid a cycle
-    op = higher_order_op(order, params)
-    f = as_bundle(f)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    series = f.local_series(arr) if np.all(arr < f.series_valid_below) else None
-    if series is not None:
-        out = np.atleast_1d(op.apply(series).evaluate(arr))
-    else:
-        d = f.derivs(arr, order)
-        out = op.evaluate_on(d, arr)
-    return float(out[0]) if np.ndim(x) == 0 else out
-
-
 def dirichlet_integral(f, params: Params, upper=40.0, tol=1e-9):
     """integral over (0, upper) of x f''^2 + (9/x + 8x/M) f'^2,
     with the [upper, 2*upper] segment returned as a tail estimate."""
@@ -488,7 +457,7 @@ def dirichlet_integral(f, params: Params, upper=40.0, tol=1e-9):
 
     def energy(x):
         d = f.derivs(x, 2)
-        return x * d[2] ** 2 + (9.0 / x + 8.0 * x / params.M) * d[1] ** 2
+        return x * d[2] ** 2 + weight(x, params.M) * d[1] ** 2
 
     main = adaptive_quad(energy, 0.0, upper, tol=tol)
     tail = adaptive_quad(energy, upper, 2.0 * upper, tol=tol)

@@ -3,8 +3,9 @@
 The indicial polynomials, the pure-power solution attached to the largest
 root, and the logarithmic basis attached to the lower roots are all
 derived mechanically from the Laurent data of the equation: the expanded
-operator is a sum of coeff * x^m * D^j pieces, and one engine serves the
-fourth-, sixth- and eighth-order equations alike.
+operator of ``equation.equation_op`` is a sum of coeff * x^m * D^j
+pieces, and one engine serves the fourth-, sixth- and eighth-order
+equations alike.
 
 The three log-case solutions are normalized by "unit leading coefficient,
 reduced modulo the span of the higher-root solutions" (the free
@@ -13,111 +14,26 @@ coefficient at every resonant index is set to zero).  Leading structure
 table of such solutions depends on that table's own normalization.
 """
 
-import math
 from dataclasses import dataclass, field
 from typing import List
 
 import numpy as np
 
+from .equation import _EQUATIONS, equation_op
 from .logseries import DiffOp, LogPowerSeries, frobenius_solve, integer_roots
 from .solutions import Params
 
 
-def _expand_block(coeff_poly, inner, outer, out):
-    """Append ops for d^outer/dx^outer [ (sum c x^m) y^(inner) ]."""
-    for m, c in coeff_poly.items():
-        for i in range(outer + 1):
-            fall = 1
-            for t in range(i):
-                fall *= (m - t)
-            if fall == 0:
-                continue
-            out.append((m - i, inner + outer - i, math.comb(outer, i) * fall * c))
-
-
-def fourth_order_op(params: Params, Lambda=None) -> DiffOp:
-    """(x y'')'' - ((9/x + 8x/M) y')' [- Lambda x y]."""
-    ops = []
-    _expand_block({1: 1}, 2, 2, ops)
-    _expand_block({-1: -9, 1: -8.0 / params.M}, 1, 1, ops)
-    if Lambda is not None:
-        ops.append((1, 0, -float(Lambda)))
-    return DiffOp(ops)
-
-
-def sixth_order_op(params: Params, Lambda=None) -> DiffOp:
-    """-(x^3 y''')''' + (33 x y'')'' - ((225/x + 96 x^3/M) y')' [- L x^3 y].
-
-    The sign of the 96 x^3/M piece is fixed by three constraints at once:
-    multiplying by M and letting M -> 0 must leave -(x^3 y')' = lam^2 x^3 y,
-    the spectral parameter lam^6 + 96 lam^2/M carries the same constant
-    with a plus sign, and the associated energy form must stay
-    nonnegative.
-    """
-    ops = []
-    _expand_block({3: -1}, 3, 3, ops)
-    _expand_block({1: 33}, 2, 2, ops)
-    _expand_block({-1: -225, 3: -96.0 / params.M}, 1, 1, ops)
-    if Lambda is not None:
-        ops.append((3, 0, -float(Lambda)))
-    return DiffOp(ops)
-
-
-def eighth_order_op(params: Params, Lambda=None) -> DiffOp:
-    """(x^5 y'''')'''' - (78 x^3 y''')''' + (1809 x y'')''
-    - ((11025/x + 1536 x^5/M) y')' [- L x^5 y]; same sign convention."""
-    ops = []
-    _expand_block({5: 1}, 4, 4, ops)
-    _expand_block({3: -78}, 3, 3, ops)
-    _expand_block({1: 1809}, 2, 2, ops)
-    _expand_block({-1: -11025, 5: -1536.0 / params.M}, 1, 1, ops)
-    if Lambda is not None:
-        ops.append((5, 0, -float(Lambda)))
-    return DiffOp(ops)
-
-
-def higher_order_op(order, params: Params, Lambda=None) -> DiffOp:
-    if order == 6:
-        return sixth_order_op(params, Lambda)
-    if order == 8:
-        return eighth_order_op(params, Lambda)
-    raise ValueError("order must be 6 or 8")
-
-
 def spectral_value_higher(order, lam, params: Params) -> float:
     """lam^6 + 96 lam^2/M (order 6) or lam^8 + 1536 lam^2/M (order 8)."""
-    if order == 6:
-        return lam ** 6 + 16.0 * 6.0 * lam ** 2 / params.M
-    if order == 8:
-        return lam ** 8 + 64.0 * 24.0 * lam ** 2 / params.M
-    raise ValueError("order must be 6 or 8")
+    if order not in (6, 8):
+        raise ValueError("order must be 6 or 8")
+    return lam ** order + _EQUATIONS[order][1] * lam ** 2 / params.M
 
 
-@dataclass(frozen=True)
-class OdeSpec:
-    """One of the three supported equations, in expanded Laurent form."""
-
-    order: int
-    op: DiffOp
-    params: Params
-    Lambda: float = 0.0
-
-    @classmethod
-    def build(cls, order, params: Params, Lambda=0.0):
-        if order == 4:
-            op = fourth_order_op(params, Lambda)
-        elif order == 6:
-            op = sixth_order_op(params, Lambda)
-        elif order == 8:
-            op = eighth_order_op(params, Lambda)
-        else:
-            raise ValueError("supported orders are 4, 6, 8")
-        return cls(order=order, op=op, params=params, Lambda=float(Lambda))
-
-
-def indicial_roots(spec: OdeSpec) -> List[int]:
-    """Exact integer indicial roots, sorted descending."""
-    return integer_roots(spec.op.indicial_coeffs())
+def indicial_roots(op: DiffOp) -> List[int]:
+    """Exact integer indicial roots of an ``equation_op``, sorted descending."""
+    return integer_roots(op.indicial_coeffs())
 
 
 @dataclass(frozen=True)
@@ -155,8 +71,7 @@ def y4_series(Lambda, params: Params, N=24) -> FrobeniusSeries:
     """
     if N < 8:
         raise ValueError("N must be at least 8")
-    spec = OdeSpec.build(4, params, Lambda)
-    series = frobenius_solve(spec.op, 4, N - 4)
+    series = frobenius_solve(equation_op(4, params, Lambda), 4, N - 4)
     fs = _package(4, series, N - 4)
     if fs.log_blocks:
         raise RuntimeError("largest-root solution unexpectedly grew log terms")
@@ -172,18 +87,17 @@ def log_case_basis(Lambda, params: Params, N=24) -> List[FrobeniusSeries]:
     """
     if N < 8:
         raise ValueError("N must be at least 8")
-    spec = OdeSpec.build(4, params, Lambda)
+    op = equation_op(4, params, Lambda)
     out = []
     for root in (2, 0, -2):
-        series = frobenius_solve(spec.op, root, N - root)
+        series = frobenius_solve(op, root, N - root)
         out.append(_package(root, series, N - root))
     return out
 
 
 def substitution_residual(fs: FrobeniusSeries, Lambda, params: Params, x):
     """|op[series]|(x) for the truncated series; a direct substitution oracle."""
-    spec = OdeSpec.build(4, params, Lambda)
-    res = spec.op.apply(fs.series)
+    res = equation_op(4, params, Lambda).apply(fs.series)
     # drop the tail entries the truncation cannot cancel: they sit at
     # powers above root + N - 3
     cutoff = fs.root + fs.truncation - 3

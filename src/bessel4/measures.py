@@ -64,11 +64,11 @@ def spectral_total_mass(M: float) -> float:
 
 
 def inner_product(f, g, measure: AtomDensityMeasure, tol=1e-8,
-                  f0=None, g0=None, split=10.0):
+                  f0=None, g0=None):
     """atom * f(0) g(0) + integral of f g d(density), to absolute tol.
 
-    The [0, split] part is integrated adaptively; the tail is mapped by
-    u = 1/x onto (0, 1/split], which regularizes every integrand that
+    The [0, _SPLIT] part is integrated adaptively; the tail is mapped by
+    u = 1/x onto (0, 1/_SPLIT], which regularizes every integrand that
     decays faster than x^-2 (all square-integrable cases used here).  The
     two integrals run in lockstep, one call of f and g per round.
     Raises ConvergenceError when the estimated error stays above tol.
@@ -84,15 +84,19 @@ def inner_product(f, g, measure: AtomDensityMeasure, tol=1e-8,
             * measure.density(x)
 
     core, tail = _lockstep(lambda u, which: _split_values(body, u, which == 1),
-                           _split_steps(split, tol))
+                           _split_steps(tol))
     return _split_total(core, tail, measure.label, tol, atom)
 
 
-def _split_steps(split, tol):
+# where ``inner_product`` splits its integral into core and tail
+_SPLIT = 10.0
+
+
+def _split_steps(tol):
     """Steps of ``inner_product``'s two integrals, to tol/2 each: the core
-    on [0, split], then the tail in u = 1/x on (0, 1/split]."""
-    return [_adaptive_steps(0.0, split, tol / 2, _MAX_PANELS),
-            _adaptive_steps(0.0, 1.0 / split, tol / 2, _MAX_PANELS)]
+    on [0, _SPLIT], then the tail in u = 1/x on (0, 1/_SPLIT]."""
+    return [_adaptive_steps(0.0, _SPLIT, tol / 2, _MAX_PANELS),
+            _adaptive_steps(0.0, 1.0 / _SPLIT, tol / 2, _MAX_PANELS)]
 
 
 def _split_values(body, nodes, tail):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equation import equation_op
 from .forms import FnBundle, SolutionBundle, as_bundle
 from .solutions import Params, SolutionHandle
 
@@ -86,13 +87,11 @@ def apply_plum(u: SeparatedSolution, r, theta):
 def separation_residual(v, params: Params, Lambda, grid):
     """max over the grid of the radial-equation residual
     |v'''' + 2v'''/r - (9/r^2 + g) v'' + (9/r^3 - g/r) v' - Lambda v|
-    normalized by 1 + |Lambda v|."""
+    normalized by 1 + |Lambda v|: the fourth-order equation divided by r."""
     v = as_bundle(v)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     d = v.derivs(grid, 4)
-    g = params.gamma
-    resid = (d[4] + (2.0 / grid) * d[3] - (9.0 / grid ** 2 + g) * d[2]
-             + (9.0 / grid ** 3 - g / grid) * d[1] - Lambda * d[0])
+    resid = equation_op(4, params, Lambda).evaluate_on(d, grid) / grid
     return float(np.max(np.abs(resid) / (1.0 + np.abs(Lambda * d[0]))))
 
 
@@ -111,10 +110,11 @@ def angular_criticality_check(c: float) -> bool:
     single radial equation (the gathered coefficients match it exactly)."""
     if c < 0.0:
         raise ValueError("the trial separation constant must be nonnegative")
-    gamma = 1.0  # any positive value; criticality must hold identically
-    got = _radial_terms(float(c), gamma)
-    want = {4: {0: 1.0}, 3: {-1: 2.0}, 2: {-2: -9.0, 0: -gamma},
-            1: {-3: 9.0, -1: -gamma}, 0: {}}
+    params = Params(8.0)  # gamma = 1; criticality must hold at any value
+    got = _radial_terms(float(c), params.gamma)
+    want = {}  # the fourth-order equation divided by r
+    for m, j, coeff in equation_op(4, params).ops:
+        want.setdefault(j, {})[m - 1] = coeff
     for order in range(5):
         table = {p: v for p, v in got.get(order, {}).items() if v != 0.0}
         if table != {p: v for p, v in want.get(order, {}).items() if v != 0.0}:

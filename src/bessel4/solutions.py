@@ -154,7 +154,7 @@ def _harmonic(n):
     return sum(1.0 / k for k in range(1, n + 1))
 
 
-def ktype_scale_series(a: float, M: float, nterms: int = _SERIES_TERMS) -> LogPowerSeries:
+def ktype_scale_series(a: float, M: float) -> LogPowerSeries:
     """Series of d K0(a x) + (a M/2) x^-1 K1(a x) with d = M a^2/4 - 1.
 
     This parametrizes the exponentially decaying solutions directly by
@@ -168,7 +168,7 @@ def ktype_scale_series(a: float, M: float, nterms: int = _SERIES_TERMS) -> LogPo
     e_big = a2 * M / 2.0
     ell = math.log(a / 2.0)
     terms = {(-2, 0): M / 2.0}
-    for k in range(nterms):
+    for k in range(_SERIES_TERMS):
         fk = math.factorial(k)
         fk1 = math.factorial(k + 1)
         hk = _harmonic(k)
@@ -205,18 +205,20 @@ def _regular_coeffs(kind: SolutionKind, lams, M: float, nterms: int):
     return (t * bracket / (k + 1)).astype(float)
 
 
-@lru_cache(maxsize=512)
-def _series_cached(kind: SolutionKind, lam: float, M: float, nterms: int):
+# bounded: a stream of fresh (lam, M) never hits the memo, and a larger
+# one would only hold memory
+@lru_cache(maxsize=128)
+def _series_cached(kind: SolutionKind, lam: float, M: float):
     if kind in _REGULAR:
-        row = _regular_coeffs(kind, [lam], M, nterms)[0]
+        row = _regular_coeffs(kind, [lam], M, _SERIES_TERMS)[0]
         return LogPowerSeries({(2 * k, 0): float(c) for k, c in enumerate(row) if c})
     if kind is SolutionKind.ktype:
-        return ktype_scale_series(math.sqrt(lam * lam + 8.0 / M), M, nterms)
+        return ktype_scale_series(math.sqrt(lam * lam + 8.0 / M), M)
     mq = M * (lam / 2.0) ** 2
     d = 1.0 + mq
     ell = math.log(lam / 2.0)
     terms = {(-2, 0): M / np.pi}
-    for k in range(nterms):
+    for k in range(_SERIES_TERMS):
         fk = math.factorial(k)
         fk1 = math.factorial(k + 1)
         hk = _harmonic(k)
@@ -232,9 +234,9 @@ def _series_cached(kind: SolutionKind, lam: float, M: float, nterms: int):
     return LogPowerSeries(terms)
 
 
-def solution_series(handle: SolutionHandle, nterms: int = _SERIES_TERMS) -> LogPowerSeries:
+def solution_series(handle: SolutionHandle) -> LogPowerSeries:
     """Small-argument log-power series of the solution, in powers of x."""
-    return _series_cached(handle.kind, float(handle.lam), float(handle.params.M), nterms)
+    return _series_cached(handle.kind, float(handle.lam), float(handle.params.M))
 
 
 def series_radius(handle: SolutionHandle) -> float:

@@ -86,13 +86,13 @@ def decay_rates(mu: float, params: Params):
 class DecayingCandidateBundle(FnBundle):
     """Difference of the two scale-a decaying solutions sharing one mu."""
 
-    def __init__(self, mu: float, params: Params, nterms: int = 18):
+    def __init__(self, mu: float, params: Params):
         self.mu = float(mu)
         self.params = params
         self.a_minus, self.a_plus = decay_rates(mu, params)
         self.series_valid_below = _SERIES_SWITCH / self.a_plus
-        raw = ktype_scale_series(self.a_minus, params.M, nterms) \
-            - ktype_scale_series(self.a_plus, params.M, nterms)
+        raw = ktype_scale_series(self.a_minus, params.M) \
+            - ktype_scale_series(self.a_plus, params.M)
         sing = abs(raw.coeff(-2, 0)) + abs(raw.coeff(0, 1))
         if sing > 1e-10 * (1.0 + params.M):
             raise RegularityError(

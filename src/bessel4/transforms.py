@@ -62,6 +62,7 @@ from typing import Callable
 import numpy as np
 
 from . import classical
+from .equation import boundary_form
 from .measures import (AtomDensityMeasure, _split_steps, _split_total,
                        _split_values, lebesgue_x, spectral_measure)
 from .quadrature import (_MAX_PANELS, _adaptive_steps, _gauss, _lockstep,
@@ -509,12 +510,15 @@ def _ring(panels: _PanelCache, tol):
     return float(end) if xf[nodes > end - width].max() > tol else 0.0
 
 
-def _inverse(pair: _Pair, g, x_grid, tol, lam_tail_start=8.0,
-             ring=0.0) -> TransformResult:
+# where the inverse's adaptive head on lam ends and its brackets begin
+_LAM_TAIL_START = 8.0
+
+
+def _inverse(pair: _Pair, g, x_grid, tol, ring=0.0) -> TransformResult:
     """The inverse transform of g on x_grid (see ``generalized_inverse``).
 
     Each x > 0 takes two lam integrals, an adaptive head on
-    [0, lam_tail_start] and a bracket train beyond it.  x = 0 takes the
+    [0, _LAM_TAIL_START] and a bracket train beyond it.  x = 0 takes the
     two integrals of g over the lam measure that ``inner_product`` runs,
     on [0, 10] and in u = 1/lam beyond (the lam measures have no atom).
     The integrals of every x run in lockstep: one call of g per round on
@@ -537,15 +541,15 @@ def _inverse(pair: _Pair, g, x_grid, tol, lam_tail_start=8.0,
     steps, shift, tail = [], [], []
     for x, at_origin in zip(x_grid, origin):
         if at_origin:
-            steps += _split_steps(10.0, tol * 1e-2)
+            steps += _split_steps(tol * 1e-2)
             shift += [0.0, 0.0]
             tail += [False, True]
         else:
-            steps += [_adaptive_steps(0.0, lam_tail_start, tol * 1e-2,
+            steps += [_adaptive_steps(0.0, _LAM_TAIL_START, tol * 1e-2,
                                       _MAX_PANELS),
                       _oscillatory_steps(np.pi / (x + ring), tol,
                                          head_tol=tol * 1e-2)]
-            shift += [0.0, lam_tail_start]
+            shift += [0.0, _LAM_TAIL_START]
             tail += [False, False]
     xs, shift, tail = np.repeat(x_grid, 2), np.array(shift), np.array(tail)
 
@@ -659,19 +663,18 @@ def generalized_forward(f, params: Params, lambda_grid, f0=None,
     return _forward(_generalized_pair(params), f, lambda_grid, f0, tol, x_cut)
 
 
-def generalized_inverse(g, params: Params, x_grid, tol=1e-6,
-                        lam_tail_start=8.0) -> TransformResult:
+def generalized_inverse(g, params: Params, x_grid, tol=1e-6) -> TransformResult:
     """The inverse transform on an x grid (0 allowed).
 
     f(0) is the plain spectral-measure integral of g; for x > 0 the
     lambda integrand oscillates with spacing ~pi/x under an O(lam^-3/2)
     envelope, integrated with the oscillatory accelerator after an
-    adaptive head on [0, lam_tail_start].  The integrals of all x > 0 run
+    adaptive head on [0, 8].  The integrals of all x > 0 run
     in lockstep, so g is called once per round on the lambdas of every x:
     a grid costs as many calls of g as its slowest x alone, and each value
     equals that of a one-x call bit for bit.
     """
-    return _inverse(_generalized_pair(params), g, x_grid, tol, lam_tail_start)
+    return _inverse(_generalized_pair(params), g, x_grid, tol)
 
 
 def generalized_parseval(f, params: Params, f0=None, tol=1e-6,
@@ -788,14 +791,6 @@ def _generalized_side(lam, params: Params, X, order=3):
         spectral_value(lam, params)
 
 
-def _bracket(dl, dm, X, M):
-    """The boundary form [J_lam, J_mu](X) from derivatives 0-3 of each."""
-    w = 9.0 / X + 8.0 * X / M
-    return (dm[0] * (X * dl[3] + dl[2]) - (X * dm[3] + dm[2]) * dl[0]
-            - X * (dm[1] * dl[2] - dm[2] * dl[1])
-            - w * (dm[0] * dl[1] - dm[1] * dl[0]))
-
-
 def _generalized_diagonal(lam, side, weight, params: Params, X):
     """``ortho_kernel_generalized`` at mu == lam, the limit of the closed
     form: -weight [J_lam, d/dlam J_lam](X) / L'(lam), with L'(lam) =
@@ -811,7 +806,7 @@ def _generalized_diagonal(lam, side, weight, params: Params, X):
     # (M lam/2) times that of J2(lam x)
     dlam = ((np.arange(4) * dl[:4] + X * dl[1:]) / lam
             - (M * lam / 2.0) * j2)
-    return -weight * _bracket(dl, dlam, X, M) \
+    return -weight * boundary_form(dl, dlam, X, M) \
         / (4.0 * lam ** 3 + 16.0 * lam / M)
 
 
@@ -823,7 +818,7 @@ def _generalized_kernel(lam, side, weight, mu, params: Params, X):
     dl, L = side
     dm, Lm = _generalized_side(mu, params, X)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = weight * _bracket(dl, dm, X, params.M) / (L - Lm)
+        out = weight * boundary_form(dl, dm, X, params.M) / (L - Lm)
     diag = _near_diagonal(lam, mu)
     if np.any(diag):
         out[diag] = _generalized_diagonal(lam, side, weight, params, X)

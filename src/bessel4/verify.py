@@ -23,6 +23,7 @@ from . import frobenius as fr
 from . import plum
 from . import spectral as sp
 from . import transforms as tr
+from .equation import equation_op
 from .fixtures import load_suite
 from .measures import inner_product, jump_measure, lebesgue_x, spectral_measure
 from .quadrature import adaptive_quad, oscillatory_semi_infinite
@@ -185,8 +186,8 @@ def _indicial_roots():
             8: [8, 6, 4, 2, 0, -2, -4, -6]}
     for order in (4, 6, 8):
         for Lam, M in ((0.0, 1.0), (1.0, 0.1), (-5.0, 10.0)):
-            spec = fr.OdeSpec.build(order, Params(M), Lam)
-            if fr.indicial_roots(spec) != want[order]:
+            if fr.indicial_roots(equation_op(order, Params(M), Lam)) \
+                    != want[order]:
                 return 1.0
     return 0.0
 

@@ -44,6 +44,12 @@ def test_eval_rejects_nonpositive_grid():
     assert "error" in r.stderr
 
 
+def test_tol_is_a_usage_error_where_nothing_reads_it():
+    # only inverse and pde-residual take a tolerance
+    r = run_cli("eval", "--tol", "1e-3")
+    assert r.returncode == 2
+
+
 def test_series_json_reports_roots():
     r = run_cli("series", "--order", "6", "--format", "json")
     assert r.returncode == 0

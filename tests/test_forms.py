@@ -1,9 +1,12 @@
 """Differential expression, boundary forms, endpoint limits, jump operator."""
 
+import math
+
 import numpy as np
 import pytest
 
 from bessel4 import forms as F
+from bessel4.equation import equation_op
 from bessel4.frobenius import y4_series
 from bessel4.solutions import (Params, SolutionHandle, SolutionKind,
                                spectral_value)
@@ -153,14 +156,13 @@ def test_jump_operator_values():
 
 
 def test_higher_order_expressions():
-    from bessel4.frobenius import higher_order_op
     # constants are annihilated at both orders
     for order in (6, 8):
         assert F.apply_higher_order(order, ONE, 1.3, P1) == 0.0
     # order 6 on x^2: symbolic expansion oracle
     M = P1.M
     x = 1.2
-    op = higher_order_op(6, P1)
+    op = equation_op(6, P1)
     stack = XSQ.derivs(np.array([x]), 6)
     got = op.evaluate_on(stack, np.array([x]))[0]
     # independent hand expansion: (225/x + 96 x^3/M)(2x) = 450 + 192 x^4 / M,
@@ -169,40 +171,23 @@ def test_higher_order_expressions():
     assert F.apply_higher_order(6, XSQ, x, P1) == pytest.approx(got, rel=1e-12)
 
 
-def test_higher_order_sturm_liouville_limit():
-    # f = J1(lam x)/x solves -(x^3 f')' = lam^2 x^3 f; multiplying the
-    # sixth-order identity by M must recover it as M -> 0
-    from bessel4 import classical as cb
-    from bessel4.frobenius import higher_order_op, spectral_value_higher
+@pytest.mark.parametrize("order,nu", [(6, 1), (8, 2)])
+def test_higher_order_sturm_liouville_limit(order, nu):
+    # f = J_nu(lam x)/x^nu solves -(x^w f')' = lam^2 x^w f, w = 2 nu + 1 =
+    # order - 3; multiplying the order-n identity by M must recover it as
+    # M -> 0.  f is the 40-term power series, so the derivatives are exact.
+    from bessel4.frobenius import spectral_value_higher
     lam = 1.3
-
-    class SlBundle(F.FnBundle):
-        def derivs(self, x, order=6):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            from bessel4.solutions import _deriv_polys
-            z = lam * x
-            u, v = cb.j1(z) * 0.0 + cb.j0(z), cb.j1(z) / z
-            (pu, qu), (pv, qv) = _deriv_polys(SolutionKind.jtype, order)
-            rows = []
-            for n in range(order + 1):
-                # f = lam * v(z); its x-derivatives via the Laurent recurrence
-                pn = np.zeros_like(z)
-                qn = np.zeros_like(z)
-                for e, c in pv[n]:
-                    pn += c * z ** e
-                for e, c in qv[n]:
-                    qn += c * z ** e
-                rows.append(lam ** (n + 1) * (pn * u + qn * v))
-            return np.vstack(rows)
-
-    f = SlBundle()
+    f = F.SeriesBundle(F.LogPowerSeries({
+        (2 * k, 0): (-1) ** k * (lam / 2.0) ** (2 * k + nu)
+        / (math.factorial(k) * math.factorial(k + nu)) for k in range(40)}))
     xs = np.array([0.7, 1.9])
     devs = []
     for M in (1.0, 0.1, 0.01):
         P = Params(M)
-        op = higher_order_op(6, P)
-        lhs = M * op.evaluate_on(f.derivs(xs, 6), xs)
-        rhs = M * spectral_value_higher(6, lam, P) * xs ** 3 \
+        op = equation_op(order, P)
+        lhs = M * op.evaluate_on(f.derivs(xs, order), xs)
+        rhs = M * spectral_value_higher(order, lam, P) * xs ** (order - 3) \
             * f.derivs(xs, 0)[0]
         devs.append(np.max(np.abs(lhs - rhs)))
     # the defect of the scaled identity vanishes linearly in M

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bessel4 import frobenius as fr
+from bessel4.equation import equation_op
 from bessel4.solutions import Params, SolutionHandle, SolutionKind, \
     eval_solution_derivs, spectral_value
 
@@ -14,13 +15,13 @@ EXPECTED_ROOTS = {4: [4, 2, 0, -2], 6: [6, 4, 2, 0, -2, -4],
 @pytest.mark.parametrize("order", [4, 6, 8])
 @pytest.mark.parametrize("Lam,M", [(0.0, 1.0), (1.0, 0.1), (-5.0, 10.0)])
 def test_indicial_roots_exact_and_parameter_free(order, Lam, M):
-    spec = fr.OdeSpec.build(order, Params(M), Lam)
-    assert fr.indicial_roots(spec) == EXPECTED_ROOTS[order]
+    op = equation_op(order, Params(M), Lam)
+    assert fr.indicial_roots(op) == EXPECTED_ROOTS[order]
 
 
 def test_malformed_spec_is_rejected():
     with pytest.raises(ValueError):
-        fr.OdeSpec.build(5, Params(1.0))
+        equation_op(5, Params(1.0))
 
 
 @pytest.mark.parametrize("M", [0.5, 1.0, 3.0])

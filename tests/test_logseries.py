@@ -87,14 +87,14 @@ def _mp_sum(series, x):
 
 def _series_zoo():
     from bessel4 import frobenius as fr
+    from bessel4.equation import equation_op
     from bessel4.solutions import Params
     P = Params(1.0)
     zoo = []
     for fs in fr.log_case_basis(1.0, P, N=24):
         zoo.extend(fs.series.derivatives(3))  # odd and negative powers
     # the order-8 member at root -6 carries ln^2 from x^-6 on
-    spec = fr.OdeSpec.build(8, P, 1.0)
-    zoo.append(frobenius_solve(spec.op, -6, 20))
+    zoo.append(frobenius_solve(equation_op(8, P, 1.0), -6, 20))
     # log degree 3, powers of gcd 1 and of gcd 3 in one series
     zoo.append(zoo[2] + LogPowerSeries({(-3, 3): 0.25, (0, 3): -1.5,
                                         (3, 3): 2.0, (9, 3): -0.125,

@@ -471,6 +471,24 @@ def test_quad_cost_tool_runs_at_small_size(capsys):
     assert one[0] == 2.0 and three[0] == 6.0 and three[1] < 3 * one[1]
 
 
+def test_forward_cost_tool_runs(capsys):
+    # the tool wraps the forward's kernel and Filon sum where the library
+    # binds them, so a rename there fails here rather than going unnoticed
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "forward_cost.py"
+    spec = importlib.util.spec_from_file_location("forward_cost", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.main()
+    assert "counted" not in tr._filon_sum.__qualname__
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + len(tool.X_CUTS) * len(tool.LAMS)
+    for line in lines[1:]:
+        cells = line.split()
+        assert int(cells[2]) > 0 and int(cells[3]) > 0
+        # measured when this test was added: at most 8.4e-14
+        assert max(float(cells[4]), float(cells[5])) < 1e-12
+
+
 # unsorted, with duplicates; at x_cut 40 their Gauss grids have 512,
 # 1024, 2048 and 4096 nodes, the first holding more lams than one chunk,
 # but only the lams below 1/2 take theirs, the rest the Filon panels of

@@ -70,12 +70,9 @@ class NodeCounter:
     generalized one) and, where the forward has them, the Filon panels."""
 
     def __init__(self, kernel):
-        self.targets = [kernel]
-        if hasattr(transforms, "_filon_sum"):
-            self.targets.append(
-                (transforms, "_filon_sum",
-                 lambda panels, lams, count, A, B:
-                 panels.x.shape[1] * int(np.sum(count))))
+        self.targets = [kernel, (transforms, "_filon_sum",
+                                 lambda panels, lams, count, A, B:
+                                 panels.x.shape[1] * int(np.sum(count)))]
         self.nodes = 0
         self._saved = []
 
