@@ -414,6 +414,8 @@ def boundary_data(f, params: Params) -> BoundaryData:
     s1 = _ladder(symplectic_form(f, _ONE, grid, params))
     s2 = _ladder(symplectic_form(f, _XSQ, grid, params))
     scale = 1.0 + abs(f0) + abs(f2)
+    # -8 = 1 - 9 and 16 = 18 - 2 come from the 9/x term of p_1, not from
+    # the M-term's c
     if abs(s1 - (-8.0 * f2)) > 8.0 * _CHECK_TOL * scale \
             or abs(s2 - 16.0 * f0) > 16.0 * _CHECK_TOL * scale:
         raise NotInMaximalDomain(
@@ -443,6 +445,7 @@ def apply_jump_operator(f, k, x, params: Params, boundary: BoundaryData = None):
                 boundary = BoundaryData(f0, f2)
             else:
                 boundary = boundary_data(f, params)
+        # [f, 1](0+) = -8 f''(0), the 9/x term's -9 plus 1 (not c)
         out[zero] = -8.0 / k * boundary.f2
     if np.any(~zero):
         xs = arr[~zero]

@@ -67,10 +67,11 @@ def inner_product(f, g, measure: AtomDensityMeasure, tol=1e-8,
                   f0=None, g0=None):
     """atom * f(0) g(0) + integral of f g d(density), to absolute tol.
 
-    The [0, _SPLIT] part is integrated adaptively; the tail is mapped by
-    u = 1/x onto (0, 1/_SPLIT], which regularizes every integrand that
-    decays faster than x^-2 (all square-integrable cases used here).  The
-    two integrals run in lockstep, one call of f and g per round.
+    The [0, _SPLIT] part is integrated adaptively, starting on its graded
+    edges (see ``_graded_edges``); the tail is mapped by u = 1/x onto
+    (0, 1/_SPLIT], which regularizes every integrand that decays faster
+    than x^-2 (all square-integrable cases used here).  The two integrals
+    run in lockstep, one call of f and g per round.
     Raises ConvergenceError when the estimated error stays above tol.
     """
     atom = 0.0
@@ -92,11 +93,24 @@ def inner_product(f, g, measure: AtomDensityMeasure, tol=1e-8,
 _SPLIT = 10.0
 
 
+def _graded_edges(b):
+    """0, b/2^K, ..., b/2, b with K the least k for which b/2^k <= 2: the
+    first round of an integral over [0, b] whose integrand changes scale
+    toward 0, as the spectral measure does below its knee lam = 2/sqrt(M).
+    Bisecting [0, b] toward 0 ends on these panels, so starting on them
+    spends no nodes on the parents."""
+    edges = [float(b)]
+    while edges[-1] > 2.0:
+        edges.append(edges[-1] / 2.0)
+    return np.array([0.0] + edges[::-1])
+
+
 def _split_steps(tol):
     """Steps of ``inner_product``'s two integrals, to tol/2 each: the core
-    on [0, _SPLIT], then the tail in u = 1/x on (0, 1/_SPLIT]."""
-    return [_adaptive_steps(0.0, _SPLIT, tol / 2, _MAX_PANELS),
-            _adaptive_steps(0.0, 1.0 / _SPLIT, tol / 2, _MAX_PANELS)]
+    on [0, _SPLIT] from its graded edges, then the tail in u = 1/x on
+    (0, 1/_SPLIT]."""
+    return [_adaptive_steps(_graded_edges(_SPLIT), tol / 2, _MAX_PANELS),
+            _adaptive_steps([0.0, 1.0 / _SPLIT], tol / 2, _MAX_PANELS)]
 
 
 def _split_values(body, nodes, tail):

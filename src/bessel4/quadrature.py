@@ -6,9 +6,12 @@ Two engines cover every integral in the library:
   extension (QUADPACK's G10/K21 pair, 21 nodes per panel) with interval
   bisection, per-panel error estimates |K21 - G10|, and cube-root
   endpoint substitutions for flagged integrable singularities (log or
-  x^(-1/2)).  Each round bisects the worst panels, as many as it takes
-  for the error left in the others to meet the tolerance, and evaluates
-  the nodes of all their halves in one integrand call.
+  x^(-1/2)).  The first round evaluates the panels between given edges
+  (``adaptive_quad`` gives [a, b] alone; a caller that knows where its
+  integrand needs small panels gives a partition that starts there).
+  Each later round bisects the worst panels, as many as it takes for the
+  error left in the others to meet the tolerance, and evaluates the
+  nodes of all their halves in one integrand call.
 * ``oscillatory_semi_infinite``: integrates bracket by bracket along the
   asymptotically regular sign changes, with the 10-point Gauss rule on
   each bracket (half an oscillation, where G10 is exact to degree 19),
@@ -16,15 +19,16 @@ Two engines cover every integral in the library:
   what makes the conditionally convergent spectral-side integrals
   computable.
 
-Each engine is written as steps: a generator (``_adaptive_steps``,
-``_oscillatory_steps``) that yields the nodes of its next round and is
-sent their values, and returns its result.  One driver, ``_lockstep``,
-runs any number of such integrals side by side and makes a single
-integrand call per round on the nodes of every integral still running;
-the two public engines are its one-integral case.  An operation that
-needs several integrals of one integrand (the inverse transform on an x
-grid, an integral split at a point) then pays one integrand call per
-round instead of one per integral per round.
+Each engine is written as steps: a generator (``_adaptive_steps``, which
+takes the edges of its first round, and ``_oscillatory_steps``) that
+yields the nodes of its next round and is sent their values, and returns
+its result.  One driver, ``_lockstep``, runs any number of such
+integrals side by side and makes a single integrand call per round on
+the nodes of every integral still running; the two public engines are
+its one-integral case.  An operation that needs several integrals of one
+integrand (the inverse transform on an x grid, an integral split at a
+point) then pays one integrand call per round instead of one per
+integral per round.
 
 Integrands must be pointwise: the value at a node may not depend on the
 other nodes of the call, whose number and grouping are the engine's
@@ -205,28 +209,30 @@ def adaptive_quad(f, a, b, tol=1e-8, singular=(), max_panels=_MAX_PANELS):
         def g(u):
             u = np.asarray(u)
             return np.where(u > 0.0, 3.0 * u * u * _values(f, a + u ** 3), 0.0)
-        return _single(g, _adaptive_steps(0.0, w, tol, max_panels))
+        return _single(g, _adaptive_steps([0.0, w], tol, max_panels))
     if "right" in singular:
         w = (b - a) ** (1.0 / 3.0)
         def g(u):
             u = np.asarray(u)
             return np.where(u > 0.0, 3.0 * u * u * _values(f, b - u ** 3), 0.0)
-        return _single(g, _adaptive_steps(0.0, w, tol, max_panels))
-    return _single(f, _adaptive_steps(a, b, tol, max_panels))
+        return _single(g, _adaptive_steps([0.0, w], tol, max_panels))
+    return _single(f, _adaptive_steps([a, b], tol, max_panels))
 
 
-def _adaptive_steps(a, b, tol, max_panels):
-    """Steps of ``adaptive_quad`` on [a, b] (a < b, no singular end): each
-    round asks for the nodes of the panels it bisects; returns the
-    QuadResult.
+def _adaptive_steps(edges, tol, max_panels):
+    """Steps of ``adaptive_quad`` on [edges[0], edges[-1]] (edges
+    ascending, no singular end): the first round asks for the nodes of
+    every panel [edges[i], edges[i + 1]], each later round for those of
+    the panels it bisects; returns the QuadResult.
 
     The error left is re-summed over the heap after every round, so that
     a failed panel's 1e300 leaves it once its halves replace it.
     """
     heap = []  # (-err, a, b, fine estimate) of every panel
-    lo, hi = np.array([a], dtype=float), np.array([b], dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
     _push_panels(heap, lo, hi, *(yield from _panel_pairs(lo, hi)))
-    neval, panels = _PANEL_NODES, 1
+    neval, panels = _PANEL_NODES * lo.size, lo.size
     total_err = _error_left(heap)
     while total_err > tol and panels < max_panels:
         # the worst panels, until the error left in the heap would meet tol
@@ -361,7 +367,7 @@ def _oscillatory_steps(zero_spacing_hint, tol=1e-6, start=None,
         return mids[:, None] + 0.5 * h * _G10_X[None, :]
 
     first = brackets(0, min(_MIN_SUMS, chunk * -(-max_brackets // chunk)))
-    head = _adaptive_steps(0.0, x0, head_tol or tol * 0.05, _MAX_PANELS)
+    head = _adaptive_steps([0.0, x0], head_tol or tol * 0.05, _MAX_PANELS)
     nodes = next(head)
     vals = yield np.concatenate([nodes.ravel(), first.ravel()])
     rows = vals[nodes.size:].reshape(first.shape)

@@ -44,12 +44,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import classical
+from .equation import _EQUATIONS
 from .logseries import LogPowerSeries, _horner
 
 _EG = np.euler_gamma
 _SERIES_SWITCH = 1.0    # ytype, ktype: the log series for z = scale*x below this
 _REGULAR_SWITCH = 4.0   # jtype, itype: the power series for z below this
 _SERIES_TERMS = 18
+# c of the M-term c x/M in p_1 of the fourth-order equation (c = 8): the
+# spectral value is lambda^2 (lambda^2 + c/M)
+_MTERM_C = _EQUATIONS[4][1]
 
 
 class SolutionKind(str, Enum):
@@ -64,7 +68,7 @@ _REGULAR = (SolutionKind.jtype, SolutionKind.itype)
 
 @dataclass(frozen=True)
 class Params:
-    """Model parameter M > 0; gamma = 8/M is derived, never set."""
+    """Model parameter M > 0; gamma = c/M = 8/M is derived, never set."""
 
     M: float
 
@@ -74,7 +78,7 @@ class Params:
 
     @property
     def gamma(self) -> float:
-        return 8.0 / self.M
+        return _MTERM_C / self.M
 
 
 @dataclass(frozen=True)
@@ -85,12 +89,17 @@ class CDPair:
 
 def spectral_value(lam: float, params: Params) -> float:
     """Spectral reparametrization Lambda = lambda^2 (lambda^2 + 8/M)."""
-    return lam * lam * (lam * lam + 8.0 / params.M)
+    return lam * lam * (lam * lam + _MTERM_C / params.M)
+
+
+def _spectral_slope(lam, params: Params):
+    """d/dlambda of ``spectral_value``: 4 lambda^3 + 2 c lambda/M."""
+    return 4.0 * lam ** 3 + 2 * _MTERM_C * lam / params.M
 
 
 def cd_params(lam: float, params: Params) -> CDPair:
     """c = sqrt(lambda^2 + 8/M) (principal root) and d = 1 + M(lambda/2)^2."""
-    return CDPair(c=math.sqrt(lam * lam + 8.0 / params.M),
+    return CDPair(c=math.sqrt(lam * lam + _MTERM_C / params.M),
                   d=1.0 + params.M * (lam / 2.0) ** 2)
 
 
@@ -140,7 +149,7 @@ def _structure(kind: SolutionKind, lam, params: Params):
     d = 1.0 + mq
     if kind in (SolutionKind.jtype, SolutionKind.ytype):
         return lam, d, -2.0 * mq
-    c = np.sqrt(lam * lam + 8.0 / params.M)
+    c = np.sqrt(lam * lam + _MTERM_C / params.M)
     big = c * c * params.M / 2.0
     if kind is SolutionKind.itype:
         return c, -d, big
@@ -213,7 +222,7 @@ def _series_cached(kind: SolutionKind, lam: float, M: float):
         row = _regular_coeffs(kind, [lam], M, _SERIES_TERMS)[0]
         return LogPowerSeries({(2 * k, 0): float(c) for k, c in enumerate(row) if c})
     if kind is SolutionKind.ktype:
-        return ktype_scale_series(math.sqrt(lam * lam + 8.0 / M), M)
+        return ktype_scale_series(math.sqrt(lam * lam + _MTERM_C / M), M)
     mq = M * (lam / 2.0) ** 2
     d = 1.0 + mq
     ell = math.log(lam / 2.0)

@@ -27,8 +27,12 @@ import numpy as np
 
 from .forms import BoundaryData, FnBundle, boundary_data, residual_expression
 from .logseries import LogPowerSeries
-from .solutions import (_SERIES_SWITCH, Params, _two_paths, ktype_scale_derivs,
-                        ktype_scale_series)
+from .solutions import (_MTERM_C, _SERIES_SWITCH, Params, _two_paths,
+                        ktype_scale_derivs, ktype_scale_series)
+
+# c/2 with c = 8 the equation's M-term constant: the roots of
+# t^2 + (c/M) t - mu are t = -h/M +- sqrt(h^2/M^2 + mu), h = c/2
+_HALF_C = _MTERM_C / 2
 
 
 class DegenerateDecayError(ValueError):
@@ -75,12 +79,12 @@ def decay_rates(mu: float, params: Params):
     a_minus -> 0 as mu -> 0-.
     """
     m = params.M
-    disc = 16.0 / (m * m) + mu
+    disc = _HALF_C * _HALF_C / (m * m) + mu
     if not (mu < 0.0) or disc <= 0.0:
         raise DegenerateDecayError(
             f"mu={mu} is outside the real-decay window (-16/M^2, 0)")
     s = math.sqrt(disc)
-    return math.sqrt(4.0 / m - s), math.sqrt(4.0 / m + s)
+    return math.sqrt(_HALF_C / m - s), math.sqrt(_HALF_C / m + s)
 
 
 class DecayingCandidateBundle(FnBundle):
@@ -151,7 +155,7 @@ def candidate_value_at_zero(mu: float, params: Params) -> float:
     """Closed form of the candidate's value at 0:
     ln(a_minus/a_plus) + (M/4) sqrt(16/M^2 + mu)."""
     a_minus, a_plus = decay_rates(mu, params)
-    s = math.sqrt(16.0 / params.M ** 2 + mu)
+    s = math.sqrt(_HALF_C * _HALF_C / params.M ** 2 + mu)
     return math.log(a_minus / a_plus) + params.M * s / 4.0
 
 
@@ -187,6 +191,7 @@ def sk_no_eigenvalue_scan(k: float, params: Params, mu_grid):
         except DegenerateDecayError as exc:
             report.append({"mu": float(mu), "tested": False, "reason": str(exc)})
             continue
+        # -8 = 1 - 9 comes from the 9/x term of p_1, not from c
         lhs = -8.0 / k * cand.boundary.f2
         rhs = mu * cand.boundary.f0
         defect = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1e-300)
@@ -205,7 +210,8 @@ def oscillation_floor(Lambda: float, params: Params, xs=None) -> float:
     if Lambda <= 0.0:
         raise ValueError("the oscillation check applies to Lambda > 0")
     m = params.M
-    lam = math.sqrt(-4.0 / m + math.sqrt(16.0 / m ** 2 + Lambda))
+    lam = math.sqrt(-_HALF_C / m + math.sqrt(_HALF_C * _HALF_C / m ** 2
+                                             + Lambda))
     hj = SolutionHandle(SolutionKind.jtype, lam, params)
     hy = SolutionHandle(SolutionKind.ytype, lam, params)
     if xs is None:

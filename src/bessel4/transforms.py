@@ -43,6 +43,15 @@ in lockstep (one call of g per round).  When g oscillates on its own
 (f ends sharply at some E), the brackets follow the beat x + E, at x = 0
 too.
 
+Every node of a lam-side integral costs a forward, so the ones that
+start at lam = 0 (the inverse's head and its x = 0 core on [0, 10],
+Parseval's lam side, the moment identity's body) start on the graded
+edges 0, b/2^K, ..., b/2, b of ``measures._graded_edges``: the dyadic
+partition toward 0, where the spectral measure has its knee
+lam = 2/sqrt(M), that bisecting [0, b] ends on.  Their first round is
+then one forward call, and no nodes go to parent panels that a
+bisection would discard.
+
 The truncated orthogonality kernels are evaluated in closed form through
 the Green identity: the boundary term at 0 of two regular solutions
 exactly cancels the M/2 atom, leaving
@@ -63,14 +72,16 @@ import numpy as np
 
 from . import classical
 from .equation import boundary_form
-from .measures import (AtomDensityMeasure, _split_steps, _split_total,
-                       _split_values, lebesgue_x, spectral_measure)
-from .quadrature import (_MAX_PANELS, _adaptive_steps, _gauss, _lockstep,
-                         _oscillatory_steps, adaptive_quad,
-                         oscillatory_semi_infinite)
+from .measures import (AtomDensityMeasure, _graded_edges, _split_steps,
+                       _split_total, _split_values, lebesgue_x,
+                       spectral_measure)
+from .quadrature import (_MAX_PANELS, ConvergenceError, _adaptive_steps,
+                         _gauss, _lockstep, _oscillatory_steps, _single,
+                         adaptive_quad, oscillatory_semi_infinite)
 from .solutions import (_REGULAR_SWITCH, Params, SolutionHandle, SolutionKind,
-                        _direct_derivs_scaled, _regular_derivs, _structure,
-                        eval_jtype_outer, eval_solution, spectral_value)
+                        _direct_derivs_scaled, _regular_derivs,
+                        _spectral_slope, _structure, eval_jtype_outer,
+                        eval_solution, spectral_value)
 
 
 # grid nodes (kernel and Filon) per row chunk of lams: a lam whose nodes
@@ -518,9 +529,10 @@ def _inverse(pair: _Pair, g, x_grid, tol, ring=0.0) -> TransformResult:
     """The inverse transform of g on x_grid (see ``generalized_inverse``).
 
     Each x > 0 takes two lam integrals, an adaptive head on
-    [0, _LAM_TAIL_START] and a bracket train beyond it.  x = 0 takes the
-    two integrals of g over the lam measure that ``inner_product`` runs,
-    on [0, 10] and in u = 1/lam beyond (the lam measures have no atom).
+    [0, _LAM_TAIL_START], from its graded edges, and a bracket train
+    beyond it.  x = 0 takes the two integrals of g over the lam measure
+    that ``inner_product`` runs, on [0, 10] and in u = 1/lam beyond (the
+    lam measures have no atom).
     The integrals of every x run in lockstep: one call of g per round on
     the lams of all of them.  Each integral converges on its own, so the
     values are those of one x at a time, bit for bit.
@@ -545,8 +557,8 @@ def _inverse(pair: _Pair, g, x_grid, tol, ring=0.0) -> TransformResult:
             shift += [0.0, 0.0]
             tail += [False, True]
         else:
-            steps += [_adaptive_steps(0.0, _LAM_TAIL_START, tol * 1e-2,
-                                      _MAX_PANELS),
+            steps += [_adaptive_steps(_graded_edges(_LAM_TAIL_START),
+                                      tol * 1e-2, _MAX_PANELS),
                       _oscillatory_steps(np.pi / (x + ring), tol,
                                          head_tol=tol * 1e-2)]
             shift += [0.0, _LAM_TAIL_START]
@@ -595,7 +607,9 @@ def _roundtrip(pair: _Pair, f, x_points, f0, tol, x_cut) -> TransformResult:
 
 def _parseval(pair: _Pair, f, f0, tol, lam_max, x_cut):
     """(integral of |g|^2 over the lam measure up to lam_max, the x-side
-    atom times f(0)^2 plus integral x |f|^2 dx up to x = 60)."""
+    atom times f(0)^2 plus integral x |f|^2 dx up to x = 60).  The lam
+    side starts on the graded edges of [0, lam_max] and raises
+    ConvergenceError when it misses tol."""
     gev = _ForwardEvaluator(f, pair, f0=f0, x_cut=x_cut)
     density = pair.lam_measure.density
 
@@ -604,13 +618,17 @@ def _parseval(pair: _Pair, f, f0, tol, lam_max, x_cut):
         gv = gev(lam)
         return gv * gv * density(lam)
 
-    lam_side = adaptive_quad(gsq_density, 0.0, lam_max, tol=tol,
-                             max_panels=400).value
+    lam_side = _single(gsq_density,
+                       _adaptive_steps(_graded_edges(lam_max), tol, 400))
+    if not lam_side.converged:
+        raise ConvergenceError(
+            f"Parseval's lam side did not reach tol={tol}",
+            best=lam_side.value, error=lam_side.error)
     x_side = adaptive_quad(lambda x: np.asarray(x) * np.asarray(f(x)) ** 2,
                            0.0, 60.0, tol=tol * 1e-2).value
     if pair.x_atom:
         x_side = pair.x_atom * gev.f0 ** 2 + x_side
-    return lam_side, x_side
+    return lam_side.value, x_side
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +647,8 @@ def hankel_forward(f, s_grid, tol=1e-8) -> TransformResult:
 
 def hankel_parseval(f, s_max=60.0, tol=1e-7):
     """(integral x f^2 dx, integral s g^2 ds) for the classical transform,
-    with g computed from f truncated at x = 40."""
+    with g computed from f truncated at x = 40; raises ConvergenceError
+    when the s side misses tol."""
     s_side, x_side = _parseval(_CLASSICAL, f, None, tol, s_max, x_cut=40.0)
     return x_side, s_side
 
@@ -679,13 +698,17 @@ def generalized_inverse(g, params: Params, x_grid, tol=1e-6) -> TransformResult:
 
 def generalized_parseval(f, params: Params, f0=None, tol=1e-6,
                          lam_max=60.0, x_cut=40.0):
-    """(integral |g|^2 dn, (M/2)|f(0)|^2 + integral x |f|^2 dx)."""
+    """(integral |g|^2 dn, (M/2)|f(0)|^2 + integral x |f|^2 dx); raises
+    ConvergenceError when the lambda side misses tol."""
     return _parseval(_generalized_pair(params), f, f0, tol, lam_max, x_cut)
 
 
 def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
                            lam_max=80.0, x_cut=40.0):
-    """| integral g dn - f(0) |: the transform's origin-recovery identity."""
+    """| integral g dn - f(0) |: the transform's origin-recovery identity.
+
+    The body on [0, lam_max] starts on its graded edges; raises
+    ConvergenceError when the body or the tail misses tol."""
     gev = _ForwardEvaluator(f, _generalized_pair(params), f0=f0, x_cut=x_cut)
     density = gev.pair.lam_measure.density
 
@@ -696,9 +719,15 @@ def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
     # the integrand falls off like lam^-4; close with the analytic-shape
     # tail, in lockstep with the body
     total, tail = _lockstep(lambda lam, which: g_density(lam),
-                            [_adaptive_steps(0.0, lam_max, tol, 400),
-                             _adaptive_steps(lam_max, 4.0 * lam_max, tol, 200)])
-    return abs(total.value + tail.value - gev.f0)
+                            [_adaptive_steps(_graded_edges(lam_max), tol, 400),
+                             _adaptive_steps([lam_max, 4.0 * lam_max], tol,
+                                             200)])
+    defect = abs(total.value + tail.value - gev.f0)
+    if not (total.converged and tail.converged):
+        raise ConvergenceError(
+            f"the moment identity's lam integrals did not reach tol={tol}",
+            best=defect, error=total.error + tail.error)
+    return defect
 
 
 def generalized_roundtrip(f, params: Params, x_points, f0=None,
@@ -794,7 +823,7 @@ def _generalized_side(lam, params: Params, X, order=3):
 def _generalized_diagonal(lam, side, weight, params: Params, X):
     """``ortho_kernel_generalized`` at mu == lam, the limit of the closed
     form: -weight [J_lam, d/dlam J_lam](X) / L'(lam), with L'(lam) =
-    4 lam^3 + 16 lam/M and d/dlam J_lam(x) = (x/lam) J_lam'(x) -
+    4 lam^3 + 2 c lam/M (c = 8) and d/dlam J_lam(x) = (x/lam) J_lam'(x) -
     (M lam/2) J2(lam x), given lam's ``_generalized_side`` at order 4.
     Below lam X = 4, where J2 = 2 J1/z - J0 cancels, the quad route."""
     M = params.M
@@ -806,8 +835,7 @@ def _generalized_diagonal(lam, side, weight, params: Params, X):
     # (M lam/2) times that of J2(lam x)
     dlam = ((np.arange(4) * dl[:4] + X * dl[1:]) / lam
             - (M * lam / 2.0) * j2)
-    return -weight * boundary_form(dl, dlam, X, M) \
-        / (4.0 * lam ** 3 + 16.0 * lam / M)
+    return -weight * boundary_form(dl, dlam, X, M) / _spectral_slope(lam, params)
 
 
 def _generalized_kernel(lam, side, weight, mu, params: Params, X):

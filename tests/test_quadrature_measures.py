@@ -7,8 +7,9 @@ import pytest
 
 from bessel4 import classical as cb
 from bessel4 import quadrature
-from bessel4.measures import (inner_product, jump_measure, lebesgue_x,
-                              spectral_measure, spectral_total_mass)
+from bessel4.measures import (_graded_edges, inner_product, jump_measure,
+                              lebesgue_x, spectral_measure,
+                              spectral_total_mass)
 from bessel4.quadrature import (_adaptive_steps, _lockstep,
                                 _oscillatory_steps, adaptive_quad,
                                 oscillatory_semi_infinite, wynn_epsilon)
@@ -207,7 +208,7 @@ def test_integrand_overflow_is_quiet_in_every_call():
 def test_lockstep_integrals_match_one_at_a_time():
     # integrals run side by side share each integrand call, one per round
     # of the slowest, and each returns its lone result bit for bit
-    rates = np.array([1.0, 30.0, 0.2])
+    rates = np.array([1.0, 30.0, 0.2, 3.0])
     calls = []
 
     def f(x, which):
@@ -215,9 +216,10 @@ def test_lockstep_integrals_match_one_at_a_time():
         return np.cos(rates[which] * x) * np.exp(-x)
 
     def steps():
-        return [_adaptive_steps(0.0, 3.0, 1e-12, 4000),
+        return [_adaptive_steps([0.0, 3.0], 1e-12, 4000),
                 _oscillatory_steps(np.pi / 30.0, 1e-9, 0.5, 140, None),
-                _adaptive_steps(-1.0, 2.0, 1e-10, 50)]
+                _adaptive_steps([-1.0, 2.0], 1e-10, 50),
+                _adaptive_steps(_graded_edges(10.0), 1e-12, 4000)]
 
     together = _lockstep(f, steps())
     rounds, alone, alone_rounds = len(calls), [], []
@@ -227,6 +229,39 @@ def test_lockstep_integrals_match_one_at_a_time():
         alone_rounds.append(len(calls))
     assert together == alone
     assert rounds == max(alone_rounds) < sum(alone_rounds)
+
+
+@pytest.mark.parametrize("b, edges", [
+    (8.0, [0.0, 2.0, 4.0, 8.0]),
+    (10.0, [0.0, 1.25, 2.5, 5.0, 10.0]),
+    (60.0, [0.0, 1.875, 3.75, 7.5, 15.0, 30.0, 60.0]),
+    (80.0, [0.0, 1.25, 2.5, 5.0, 10.0, 20.0, 40.0, 80.0]),
+    (1.5, [0.0, 1.5]),
+])
+def test_graded_edges_halve_toward_zero(b, edges):
+    # dyadic toward 0 from b, with the smallest panel the first at or
+    # below 2: the partition that bisecting [0, b] toward 0 ends on
+    got = _graded_edges(b)
+    assert got.tolist() == edges
+    assert got[0] == 0.0 and got[-1] == b and got[1] <= 2.0
+    assert np.all(got[2:] == 2.0 * got[1:-1])
+    assert got.size == 2 or got[2] > 2.0
+
+
+def test_graded_first_round_is_one_call():
+    # every panel of the first round in one integrand call; [a, b] alone
+    # is adaptive_quad, bit for bit
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(-x) * x
+
+    r = quadrature._single(f, _adaptive_steps(_graded_edges(60.0), 1e-8, 400))
+    assert calls[0] == 6 * 21 and r.neval == sum(calls)
+    assert r.value == pytest.approx(1.0 - 61.0 * np.exp(-60.0), abs=1e-8)
+    one = quadrature._single(f, _adaptive_steps([0.0, 60.0], 1e-8, 400))
+    assert one == adaptive_quad(f, 0.0, 60.0, tol=1e-8, max_panels=400)
 
 
 @pytest.mark.parametrize("f, a, b, singular, tol, exact", [

@@ -6,9 +6,9 @@ import pathlib
 import numpy as np
 import pytest
 
-from bessel4 import classical, quadrature, transforms as tr
+from bessel4 import classical, measures, quadrature, transforms as tr
 from bessel4.fixtures import load_suite, parse_suite
-from bessel4.solutions import Params
+from bessel4.solutions import Params, spectral_value
 
 P1 = Params(1.0)
 
@@ -393,9 +393,10 @@ def test_generalized_kernel_diagonal_in_closed_form(lam, M, X, monkeypatch):
 
 def test_inverse_at_the_origin_joins_the_grid_drive():
     # x = 0 runs the measure integral's core and u = 1/lam tail in the
-    # same lockstep drive as the other x: g is called 3 times on [0] and
-    # on [0, 0.5, 2] (one drive after the other read 4 and 7), and the
-    # origin's value is inner_product's, bit for bit
+    # same lockstep drive as the other x, each from its graded edges: g is
+    # called once on [0] and once on [0, 0.5, 2] (one drive after the
+    # other read 4 and 7; one-panel starts 3 and 3), and the origin's
+    # value is inner_product's, bit for bit
     from bessel4.measures import inner_product, spectral_measure
     M = 1.0
     calls = []
@@ -407,10 +408,10 @@ def test_inverse_at_the_origin_joins_the_grid_drive():
                                            + M / 2.0)
 
     origin = tr.generalized_inverse(g, Params(M), [0.0])
-    assert len(calls) == 3
+    assert len(calls) == 1
     calls.clear()
     grid = tr.generalized_inverse(g, Params(M), [0.0, 0.5, 2.0])
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert grid.values[0] == origin.values[0]
     assert grid.diagnostics["points"][0] == {"x": 0.0,
                                              "mode": "measure-integral"}
@@ -419,6 +420,69 @@ def test_inverse_at_the_origin_joins_the_grid_drive():
                                              tol=1e-8)
     assert np.allclose(grid.values, np.exp(-np.square([0.0, 0.5, 2.0])),
                        atol=1e-6)
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 2.0])
+def test_graded_starts_agree_with_one_panel_starts(M, monkeypatch):
+    # the lam-side integrals from 0 start on their graded edges; started
+    # on the one panel [0, b] instead they agree within each call's tol
+    P = Params(M)
+
+    def run(fx):
+        return (tr.generalized_parseval(fx, P, x_cut=fx.x_cut)[0],
+                tr.moment_identity_defect(fx, P, x_cut=fx.x_cut),
+                tr.generalized_roundtrip(fx, P, [0.0, 0.7, 1.9],
+                                         x_cut=fx.x_cut).values)
+
+    suite = load_suite()
+    graded = [run(fx) for fx in suite]
+    one_panel = lambda b: np.array([0.0, b])
+    monkeypatch.setattr(tr, "_graded_edges", one_panel)
+    monkeypatch.setattr(measures, "_graded_edges", one_panel)
+    for fx, (parseval, moment, inverse) in zip(suite, graded):
+        p1, m1, i1 = run(fx)
+        assert parseval == pytest.approx(p1, abs=1e-6)
+        assert moment == pytest.approx(m1, abs=1e-6)
+        assert np.max(np.abs(inverse - i1)) < 1e-6
+
+
+def _nan_on_one_panel(monkeypatch):
+    """Make the forward evaluator return nan for lam in [3, 3.5]: no panel
+    there ever converges."""
+    call = tr._ForwardEvaluator.__call__
+
+    def patched(self, lams):
+        vals = np.asarray(call(self, lams), dtype=float)
+        lams = np.asarray(lams, dtype=float)
+        return np.where((lams >= 3.0) & (lams <= 3.5), np.nan, vals)
+
+    monkeypatch.setattr(tr._ForwardEvaluator, "__call__", patched)
+
+
+def test_parseval_raises_when_its_lam_side_misses_tol(monkeypatch):
+    gauss = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    _nan_on_one_panel(monkeypatch)
+    with pytest.raises(quadrature.ConvergenceError) as err:
+        tr.generalized_parseval(gauss, P1, x_cut=9.0)
+    assert np.isfinite(err.value.best) and err.value.error > 1e-6
+
+
+def test_moment_identity_raises_when_an_integral_misses_tol(monkeypatch):
+    gauss = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
+    _nan_on_one_panel(monkeypatch)
+    with pytest.raises(quadrature.ConvergenceError) as err:
+        tr.moment_identity_defect(gauss, P1, x_cut=9.0)
+    assert np.isfinite(err.value.best) and err.value.error > 1e-6
+
+
+@pytest.mark.parametrize("lam, M", [(0.05, 0.3), (0.9, 1.0), (3.7, 7.0)])
+def test_diagonal_spectral_slope_matches_spectral_value(lam, M):
+    # the diagonal kernel divides by L'(lam); it must be the derivative of
+    # the spectral value L that the off-diagonal kernel differences
+    P = Params(M)
+    h = 1e-5 * lam
+    diff = (spectral_value(lam + h, P) - spectral_value(lam - h, P)) / (2 * h)
+    assert tr._spectral_slope(lam, P) == pytest.approx(diff, rel=1e-9)
 
 
 def test_ten_node_brackets_match_sixteen_node_brackets():
@@ -465,6 +529,7 @@ def test_quad_cost_tool_runs_at_small_size(capsys):
     assert len(lines) == 1 + len(tool.SITES)
     rows = {line[:29].strip(): [float(c) for c in line[29:].split()]
             for line in lines[1:]}
+    assert list(rows) == [site for site, _ in tool.SITES]
     assert all(len(r) == 4 and min(r) > 0.0 for r in rows.values())
     # the inverse runs two integrals per x, all x in lockstep
     one, three = rows["generalized_inverse 1 x"], rows["generalized_inverse 3 x"]

@@ -10,6 +10,11 @@ input and prints, per call of the site,
 * ms: milliseconds spent inside the driver, the least over REPEATS runs
   of the site after one warm-up run.
 
+The lambda-side integrals that start at lambda = 0 (the inverse's head,
+Parseval's lambda side, the moment identity's body and the core of
+``inner_product``) start on the graded edges of ``measures._graded_edges``;
+the others on one panel.
+
 Every integral runs through one driver, ``quadrature._lockstep``: the
 engines ``adaptive_quad`` and ``oscillatory_semi_infinite`` are its
 one-integral case, and the inverse transform, the moment identity and
@@ -78,6 +83,12 @@ SITES = [
      [lambda M=M: transforms.moment_identity_defect(expdamp, Params(M),
                                                     x_cut=X_CUT)
       for M in MS]),
+    ("inner_product spectral",
+     [lambda M=M: measures.inner_product(gaussian_g(M), gaussian_g(M),
+                                         measures.spectral_measure(M))
+      for M in MS]),
+    ("hankel_parseval",
+     [lambda: transforms.hankel_parseval(expdamp)]),
 ]
 
 
