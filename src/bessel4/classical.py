@@ -19,7 +19,12 @@ I/K errors are relative.
   w = x - (2 nu + 1) pi/4.  P and x Q are power series in 1/x^2, so one
   table of degree 12 in t = 128/x^2 - 1 holds each of them on all of
   [8, inf); cos w and sin w are built from cos x and sin x of the exact
-  x.  Error at most 4.4e-16 up to x = 1e9.
+  x.  Error at most 4.4e-16 up to x = 1e9.  The four P and x Q rows are
+  also held in powers of s = 128/x^2 (the ``_MONO`` tables: each row
+  expanded exactly and rounded once, every coefficient at most 1 in
+  magnitude, within 2 ulp of the Chebyshev sum on [8, 1e9]), from which
+  the forward transform's Filon panels build the modulus-phase amplitude
+  as a polynomial in 1/x; no kernel reads them.
 * I below 8: tables of degree 19 in t = x^2/32 - 1, I0 = e^(x^2/12)
   (1 + x^2 T) and I1 = x e^(x^2/12) T; from 8 to 705, e^x T / sqrt(x)
   with tables of degree 24 in 16/x - 1; overflow signalled past 705.
@@ -185,6 +190,38 @@ _XQ1_CHEB = (
     -3.649001916061838e-14, 5.206626366226707e-15, -8.215318025458595e-16,
     1.4141084390211833e-16,
 )
+# the same four polynomials in powers of s = t + 1 = 128/x^2, lowest degree
+# first: the rows above expanded exactly and rounded once (printed by the
+# same script).  No kernel sums them; the Filon panels of the forward
+# transform split the modulus-phase amplitude into powers of 1/x with them.
+_P0_MONO = (
+    1.0, -0.0005493164062493729, 6.8452209050152475e-06,
+    -2.729897359568949e-07, 2.2626248580035936e-08, -3.19697239721781e-09,
+    6.784812017739171e-10, -1.8949187462849448e-10, 5.841377244520406e-11,
+    -1.6454205297853905e-11, 3.5770531264715957e-12, -5.032521716168072e-13,
+    3.339452259070809e-14,
+)
+_XQ0_MONO = (
+    -0.12499999999999997, 0.0005722045898382595, -1.3861572208273855e-05,
+    8.238427797976101e-07, -9.081284325198143e-08, 1.6001830023058012e-08,
+    -4.040441769030311e-09, 1.2817025856047247e-09, -4.2913588737916976e-10,
+    1.2700007214553937e-10, -2.8428492065398842e-11, 4.072135514915702e-12,
+    -2.7338449247237154e-13,
+)
+_P1_MONO = (
+    1.0, 0.0009155273437493367, -8.800998310649137e-06,
+    3.226242601369983e-07, -2.5643182547131355e-08, 3.5337363678078407e-09,
+    -7.378589488936819e-10, 2.0393316894105291e-10, -6.247625231215511e-11,
+    1.753733706702095e-11, -3.805036861359365e-12, 5.347045461300697e-13,
+    -3.5455617466606254e-14,
+)
+_XQ1_MONO = (
+    0.37499999999999994, -0.0008010864257754543, 1.694192161485426e-05,
+    -9.505880095171817e-07, 1.0149744130962249e-07, -1.7527609966764268e-08,
+    4.366557453120088e-09, -1.3732065063690339e-09, 4.5742211618385455e-10,
+    -1.34980397042805e-10, 3.016491964701155e-11, -4.31656146554542e-12,
+    2.8960940831153833e-13,
+)
 
 _JY_CHEB = np.array([_J0_CHEB, _J1_CHEB, _Y0_CHEB, _Y1_CHEB])
 _I_CHEB = np.array([_I0_CHEB, _I1_CHEB])
@@ -236,13 +273,6 @@ def _clenshaw(cols, t2):
     tmp -= b2
     tmp += cols[-1]
     return tmp.reshape(shape)
-
-
-def _pq01(z):
-    """(P0, Q0, P1, Q1) at z >= 8 from the table of the J/Y kernels."""
-    z = np.asarray(z, dtype=float)
-    p0, xq0, p1, xq1 = _clenshaw(_PQ_COLS[(0, 1)], 256.0 / z ** 2 - 2.0)
-    return p0, xq0 / z, p1, xq1 / z
 
 
 def _jy_small(x, orders, kind):

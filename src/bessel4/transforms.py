@@ -18,7 +18,7 @@ or fixed) runs on whole lam arrays, each lam on one of two grids:
 
 * a composite Gauss grid on [0, X] with panels sized to lam (2.5 rad
   each), bisected where x f is not resolved (at a jump of f);
-* for lam in the octave [2^k, 2^(k+1)), a Gauss grid on [0, 8/2^k] and
+* for lam in the octave [2^k, 2^(k+1)), a Gauss head on [0, 8/2^k] and
   Filon panels beyond it, where lam x >= 8 and K = A J0(lam x) +
   B J1(lam x)/(lam x) is Re[exp(i lam x) a(x)] with a slowly varying
   amplitude a built from the modulus-phase P0, Q0, P1, Q1 (A = 1, B = 0
@@ -27,21 +27,27 @@ or fixed) runs on whole lam arrays, each lam on one of two grids:
   panels are sized to f alone: two equal panels in each octave of x,
   bisected where f is not resolved, so every half-width is a power of
   two and one panel set serves every octave of lam.  Their count grows
-  only like log(lam).
+  only like log(lam).  P and x Q are polynomials in 128/(lam x)^2, so
+  x f a = sum over n = 0..26 of C_n(lam) x^(1/2 - n) f(x): the panel set
+  holds, built once with it, the Legendre coefficients of the 27
+  functions x^(1/2 - n) f, and a lam's fit on a panel is its 27
+  coefficients C_n contracted with them.  That is the same degree-15
+  interpolant, summed in another order, with no kernel call per node.
 
-A lam takes the Filon grid when it has fewer nodes than the Gauss grid,
-so at X = 40 for lam >= 1/2: 432 nodes at lam = 320 against 65536.  The
-lams go in row chunks of about 2^16 nodes; each chunk makes one kernel
-call on the (lam, node) pairs of its Gauss grids and one Filon pass.
-Against the closed forms of exp(-x) and exp(-x^2) at X = 40, lam in
-[8, 320], the forward is within 9.5e-14 (generalized pair, M <= 2) and
-2e-17 (classical) absolute, as the Gauss grid was.  The inverse is an
-adaptive head on lam in [0, 8] plus brackets of spacing
-pi/x summed with epsilon acceleration; at x = 0 it is the lam-measure
-integral of g.  The integrals of every x of a grid, x = 0 included, run
-in lockstep (one call of g per round).  When g oscillates on its own
-(f ends sharply at some E), the brackets follow the beat x + E, at x = 0
-too.
+A lam takes its head and the Filon panels when the head alone has fewer
+nodes than the Gauss grid, so at X = 40 for lam >= 1/2: 64 kernel nodes
+and 23 Filon panels at lam = 320 against 65536 kernel nodes.  The lams go
+in row chunks of about 2^16 nodes, a Filon panel counted as its 16;
+each chunk makes one kernel call on the (lam, node) pairs of its Gauss
+grids and heads and one Filon pass.  Against the closed forms of exp(-x)
+and exp(-x^2) at X = 40, on 60 lams log-spaced in [8, 320], the forward
+is within 1.2e-13 (generalized pair, M <= 2) and 4.5e-17 (classical)
+absolute, the Gauss grid's level.  The inverse is an adaptive head on
+lam in [0, 8] plus brackets of spacing pi/x summed with epsilon
+acceleration; at x = 0 it is the lam-measure integral of g.  The
+integrals of every x of a grid, x = 0 included, run in lockstep (one
+call of g per round).  When g oscillates on its own (f ends sharply at
+some E), the brackets follow the beat x + E, at x = 0 too.
 
 Every node of a lam-side integral costs a forward, so the ones that
 start at lam = 0 (the inverse's head and its x = 0 core on [0, 10],
@@ -156,6 +162,24 @@ _FILON_FIT = (np.arange(16)[:, None] + 0.5) * _FILON_W \
     * np.polynomial.legendre.legvander(_FILON_T, 15).T
 _TWO_I_POW = np.array([2.0, 2.0j, -2.0, -2.0j] * 4)
 
+# The Filon bracket as a series in 1/z.  With s = 128/z^2 and p0, q0, p1,
+# q1 the coefficients in s of P0, z Q0, P1, z Q1 (classical's _MONO
+# tables), A J0(z) + B J1(z)/z = Re[exp(i (z - pi/4)) a(z)] for z >= 8 with
+#
+#     a(z) sqrt(z) / sqrt(2/pi) = sum over n = 0..26 of gamma_n z^-n,
+#
+# gamma_2m = A p0_m 128^m + B q1_(m-1) 128^(m-1) (real) and gamma_(2m+1) =
+# i (A q0_m - B p1_m) 128^m.  Rows 0 and 1 of _GAMMA_EVEN[:, m] and
+# _GAMMA_ODD[:, m] are the A and B parts of gamma_2m and gamma_(2m+1)/i;
+# the tables are scaled by powers of two only, so they are exact.
+_POW128 = 128.0 ** np.arange(13)
+_GAMMA_EVEN = np.array([np.append(_POW128 * classical._P0_MONO, 0.0),
+                        np.insert(_POW128 * classical._XQ1_MONO, 0, 0.0)])
+_GAMMA_ODD = np.array([_POW128 * classical._XQ0_MONO,
+                       -_POW128 * classical._P1_MONO])
+# x f(x) a(lam x) = sqrt(2/pi) sum_n gamma_n lam^-(n + 1/2) x^(1/2 - n) f(x)
+_AMP_POWERS = np.arange(_GAMMA_EVEN.shape[1] + _GAMMA_ODD.shape[1]) + 0.5
+
 
 def _legendre_moments(omega):
     """integral over [-1, 1] of P_k(t) exp(i omega t) dt = 2 i^k j_k(omega)
@@ -254,18 +278,26 @@ def _fit_panels(f, edges, scale):
     return mid[order], half[order], x[order], xf[order]
 
 
+def _legendre_table(x, xf):
+    """L[n, p, k]: the k-th Legendre coefficient, on panel p, of the
+    degree-15 interpolant at its nodes x of x^(1/2 - n) f(x), n = 0..26,
+    given x f at the nodes.  einsum sums every element in one fixed order,
+    so a panel's coefficients do not depend on the other panels."""
+    return np.einsum("npj,kj->npk", xf * x ** -_AMP_POWERS[:, None, None],
+                     _FILON_FIT)
+
+
 @dataclass(frozen=True)
 class _FilonPanels:
     """Filon panels on [lo, x_cut], sorted by position; a lam in the
     octave [2^k, 2^(k+1)) takes those past 8/2^k."""
 
     lo: float
-    mid: np.ndarray     # panel centres
-    half: np.ndarray    # panel half-widths
-    x: np.ndarray       # (panels, 16) nodes
-    xf: np.ndarray      # x f(x) at the nodes
-    widths: np.ndarray  # the distinct half-widths ...
-    which: np.ndarray   # ... and which one each panel has
+    mid: np.ndarray       # panel centres
+    half: np.ndarray      # panel half-widths
+    legendre: np.ndarray  # (27, panels, 16): ``_legendre_table``
+    widths: np.ndarray    # the distinct half-widths ...
+    which: np.ndarray     # ... and which one each panel has
 
 
 def _two_product(a, b):
@@ -291,38 +323,59 @@ def _runs(first, count):
     return start, np.arange(count.sum()) + np.repeat(first - start, count)
 
 
+def _amplitude_coeffs(lams, A, B):
+    """(C_n(lam) for even n, C_n(lam)/i for odd n), shapes (lams, 14) and
+    (lams, 13): C_n = sqrt(2/pi) gamma_n lam^-(n + 1/2), the coefficient
+    of x^(1/2 - n) f(x) in x f(x) a(lam x) (see _GAMMA_EVEN)."""
+    scale = np.sqrt(2.0 / np.pi) * lams[:, None] ** -_AMP_POWERS
+    A, B = A[:, None], B[:, None]
+    return ((A * _GAMMA_EVEN[0] + B * _GAMMA_EVEN[1]) * scale[:, 0::2],
+            (A * _GAMMA_ODD[0] + B * _GAMMA_ODD[1]) * scale[:, 1::2])
+
+
 def _filon_sum(panels: _FilonPanels, lams, count, A, B):
     """integral over the last count[i] Filon panels of
     x f(x) [A J0(lam x) + B J1(lam x)/(lam x)] dx for each lam, in one
-    pass over every (lam, panel, node).
+    call for every (lam, panel) pair.
 
-    With z = lam x >= 8 the bracket is Re[exp(i lam x) a(x)], where
-    a = sqrt(2/(pi z)) exp(-i pi/4) [A (P0 + i Q0) - i B (P1 + i Q1)/z]
-    varies slowly.  On each panel x f a is replaced by its degree-15
-    interpolant at the Gauss nodes, a Legendre series, which is
-    integrated against exp(i lam x) exactly (``_legendre_moments``, once
-    per distinct lam times half-width).
+    With z = lam x >= 8 the bracket is Re[exp(i (lam x - pi/4)) a(z)],
+    where a varies slowly, and x f a = sum_n C_n(lam) x^(1/2 - n) f(x)
+    (see _GAMMA_EVEN).  On each panel x f a is replaced by its degree-15
+    interpolant at the Gauss nodes, a Legendre series, whose coefficients
+    are the 27 C_n(lam) contracted with the panels' table of the
+    x^(1/2 - n) f (``_legendre_table``, built with the panels), and the
+    series is integrated against exp(i lam x) exactly
+    (``_legendre_moments``, once per distinct lam times half-width).  The
+    lams of one octave read the same panels and contract in one einsum,
+    which sums every element in one fixed order: BLAS would make a lam's
+    value depend on its batch.
     """
-    start, col = _runs(panels.mid.size - count, count)
+    npanels = panels.mid.size
+    start, col = _runs(npanels - count, count)
     row = np.repeat(np.arange(lams.size), count)
-    lam = lams[row]
-    z = lam[:, None] * panels.x[col]
-    p0, q0, p1, q1 = classical._pq01(z)
-    amp = panels.xf[col] * np.sqrt(2.0 / (np.pi * z))
-    a = A[row, None]
-    bz = B[row, None] / z
-    h = amp * ((a * p0 + bz * q1) + 1j * (a * q0 - bz * p1))
+    even, odd = _amplitude_coeffs(lams, A, B)
+    # series[pair, k]: the k-th Legendre coefficient of x f a on the pair's
+    # panel
+    series = np.empty((col.size, _FILON_T.size), dtype=complex)
+    for c in np.unique(count):
+        rows = np.flatnonzero(count == c)
+        at = (start[rows, None] + np.arange(c)).ravel()
+        table = panels.legendre[:, npanels - c:]
+        for part, coeffs, terms in ((series.real, even, table[0::2]),
+                                    (series.imag, odd, table[1::2])):
+            part[at] = np.einsum("rn,npk->rpk", coeffs[rows],
+                                 terms).reshape(at.size, -1)
     width = panels.which[col]
     pairs, pair_of = np.unique(row * panels.widths.size + width,
                                return_inverse=True)
     moments = _legendre_moments(lams[pairs // panels.widths.size]
                                 * panels.widths[pairs % panels.widths.size])
-    weights = np.einsum("...k,kj->...j", moments, _FILON_FIT)
     # the temporary on the left: numpy multiplies a large temporary in
     # place, and on the right it would swap the factors, which a complex
     # product with FMA rounds differently, so a lam's value would depend
     # on the size of its batch
-    vals = np.sum(weights[pair_of] * h, axis=-1)
+    vals = np.sum(moments[pair_of] * series, axis=-1)
+    lam = lams[row]
     # lam c rounds by up to an ulp of itself (1e-12 at lam c ~ 1e4); its
     # rounding error e enters as exp(i (p + e)) = exp(i p) (1 + i e)
     p, e = _two_product(lam, panels.mid[col])
@@ -376,13 +429,16 @@ class _PanelCache:
         old = self._filon
         lo = self.x_cut if old is None else old.lo
         if x0 < lo:
-            parts = _fit_panels(self.f, _filon_edges(x0, lo), self.scale)
+            mid, half, x, xf = _fit_panels(self.f, _filon_edges(x0, lo),
+                                           self.scale)
+            # the new panels lie below the old ones; the old keep their rows
+            table = _legendre_table(x, xf)
             if old is not None:
-                parts = [np.concatenate(p)
-                         for p in zip(parts, (old.mid, old.half, old.x, old.xf))]
-            mid, half, x, xf = parts
+                mid = np.concatenate([mid, old.mid])
+                half = np.concatenate([half, old.half])
+                table = np.concatenate([table, old.legendre], axis=1)
             widths, which = np.unique(half, return_inverse=True)
-            self._filon = _FilonPanels(x0, mid, half, x, xf, widths, which)
+            self._filon = _FilonPanels(x0, mid, half, table, widths, which)
         return self._filon
 
 
@@ -392,8 +448,9 @@ def _routes(cache: _PanelCache, lams):
     Filon panels).
 
     A lam in the octave [2^k, 2^(k+1)) takes the head of its octave and
-    the Filon panels past 8/2^k when they have fewer nodes than its Gauss
-    grid, else the Gauss grid and no Filon panel.
+    the Filon panels past 8/2^k when the head alone has fewer nodes than
+    its Gauss grid, else the Gauss grid and no Filon panel: a Filon panel
+    costs a lam no kernel call, only its share of one contraction.
     """
     npanels = _panel_count(cache.x_cut, lams)
     level = np.frexp(lams)[1] - 1
@@ -408,7 +465,7 @@ def _routes(cache: _PanelCache, lams):
         levels, key[filon] = np.unique(level[filon], return_inverse=True)
         grids = [cache.head(int(k)) for k in levels]
         head = np.array([nodes.size for nodes, _ in grids])[key]
-        filon &= head + _FILON_T.size * count < 8 * npanels
+        filon &= head < 8 * npanels
         count[~filon] = 0
     gauss = np.flatnonzero(~filon)
     _, first, which = np.unique(npanels[gauss], return_index=True,
@@ -608,8 +665,8 @@ def _roundtrip(pair: _Pair, f, x_points, f0, tol, x_cut) -> TransformResult:
 def _parseval(pair: _Pair, f, f0, tol, lam_max, x_cut):
     """(integral of |g|^2 over the lam measure up to lam_max, the x-side
     atom times f(0)^2 plus integral x |f|^2 dx up to x = 60).  The lam
-    side starts on the graded edges of [0, lam_max] and raises
-    ConvergenceError when it misses tol."""
+    side starts on the graded edges of [0, lam_max]; ConvergenceError
+    when it misses tol or the x side misses tol/100."""
     gev = _ForwardEvaluator(f, pair, f0=f0, x_cut=x_cut)
     density = pair.lam_measure.density
 
@@ -625,10 +682,15 @@ def _parseval(pair: _Pair, f, f0, tol, lam_max, x_cut):
             f"Parseval's lam side did not reach tol={tol}",
             best=lam_side.value, error=lam_side.error)
     x_side = adaptive_quad(lambda x: np.asarray(x) * np.asarray(f(x)) ** 2,
-                           0.0, 60.0, tol=tol * 1e-2).value
+                           0.0, 60.0, tol=tol * 1e-2)
+    value = x_side.value
     if pair.x_atom:
-        x_side = pair.x_atom * gev.f0 ** 2 + x_side
-    return lam_side.value, x_side
+        value = pair.x_atom * gev.f0 ** 2 + value
+    if not x_side.converged:
+        raise ConvergenceError(
+            f"Parseval's x side did not reach tol={tol * 1e-2}",
+            best=value, error=x_side.error)
+    return lam_side.value, value
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +710,7 @@ def hankel_forward(f, s_grid, tol=1e-8) -> TransformResult:
 def hankel_parseval(f, s_max=60.0, tol=1e-7):
     """(integral x f^2 dx, integral s g^2 ds) for the classical transform,
     with g computed from f truncated at x = 40; raises ConvergenceError
-    when the s side misses tol."""
+    when either side misses its tolerance (see ``_parseval``)."""
     s_side, x_side = _parseval(_CLASSICAL, f, None, tol, s_max, x_cut=40.0)
     return x_side, s_side
 
@@ -699,7 +761,8 @@ def generalized_inverse(g, params: Params, x_grid, tol=1e-6) -> TransformResult:
 def generalized_parseval(f, params: Params, f0=None, tol=1e-6,
                          lam_max=60.0, x_cut=40.0):
     """(integral |g|^2 dn, (M/2)|f(0)|^2 + integral x |f|^2 dx); raises
-    ConvergenceError when the lambda side misses tol."""
+    ConvergenceError when either side misses its tolerance (see
+    ``_parseval``)."""
     return _parseval(_generalized_pair(params), f, f0, tol, lam_max, x_cut)
 
 

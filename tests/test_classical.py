@@ -144,13 +144,18 @@ def test_ik_relative_error_against_mpmath(region, data):
             assert float(max(rel)) <= 2e-15, (family, nu, xs)
 
 
-def test_kernel_chebyshev_tables_match_generator():
-    # every checked-in table is what the generator prints at 40 digits, and
-    # every table stack of the kernels is made of them
+def _load_generator():
     path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "gen_kernel_tables.py"
     spec = importlib.util.spec_from_file_location("gen_kernel_tables", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
+    return gen
+
+
+def test_kernel_chebyshev_tables_match_generator():
+    # every checked-in table is what the generator prints at 40 digits, and
+    # every table stack of the kernels is made of them
+    gen = _load_generator()
     tables = gen.chebyshev_tables(digits=40)
     for name, coef in tables.items():
         assert getattr(cb, name) == coef, name
@@ -185,16 +190,28 @@ def test_pair_kernels_equal_single_orders():
         assert np.array_equal(fn(mixed), [fn(float(x)) for x in mixed]), name
 
 
-def test_pq01_reproduces_kernels_through_the_modulus_phase_form():
-    # the Filon forward reads P and Q from the table the kernels use: with
-    # _pq01's values the modulus-phase formula, summed exactly, gives back
-    # j0, j1, y0, y1 to their rounding
+def test_monomial_pq_tables_are_the_exact_chebyshev_rows():
+    # each _MONO table is its checked-in Chebyshev row expanded exactly in
+    # powers of s = t + 1 and rounded once, bit for bit
+    gen = _load_generator()
+    tables = gen.monomial_tables({name: getattr(cb, name) for name in gen.MONOMIAL})
+    assert set(tables) == {"_P0_MONO", "_XQ0_MONO", "_P1_MONO", "_XQ1_MONO"}
+    for name, coef in tables.items():
+        assert getattr(cb, name) == coef, name
+        assert max(map(abs, coef)) <= 1.0
+
+
+def test_monomial_pq_reproduces_kernels_through_the_modulus_phase_form():
+    # the Filon forward reads P and Q from the monomial tables: with their
+    # values (Horner in s = 128/z^2) the modulus-phase formula, summed
+    # exactly, gives back j0, j1, y0, y1 to their rounding
     rng = np.random.default_rng(11)
     z = np.concatenate([[8.0, 16.9999, 17.0001],
                         8.0 * (1e9 / 8.0) ** rng.uniform(0.0, 1.0, 120)])
-    pq = cb._pq01(z.reshape(3, -1))
-    assert all(a.shape == (3, z.size // 3) for a in pq)
-    p0, q0, p1, q1 = (a.ravel() for a in pq)
+    s = 128.0 / z ** 2
+    p0, q0, p1, q1 = (np.polynomial.polynomial.polyval(s, getattr(cb, name))
+                      / (z if name.startswith("_XQ") else 1.0)
+                      for name in ("_P0_MONO", "_XQ0_MONO", "_P1_MONO", "_XQ1_MONO"))
     with mp.workdps(30):
         for i, x in enumerate(z):
             xm = mp.mpf(float(x))

@@ -2,6 +2,7 @@
 
 import importlib.util
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -467,6 +468,23 @@ def test_parseval_raises_when_its_lam_side_misses_tol(monkeypatch):
     assert np.isfinite(err.value.best) and err.value.error > 1e-6
 
 
+def _spike_past_40(x):
+    """0 up to x = 40, 1/sqrt(x - 40) beyond: the forward (truncated at
+    40) reads 0, while x f^2 has a pole at 40 that no panel resolves."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(x > 40.0, 1.0 / np.sqrt(np.abs(x - 40.0)), 0.0)
+
+
+@pytest.mark.parametrize("parseval", [
+    lambda f: tr.generalized_parseval(f, P1), tr.hankel_parseval],
+    ids=["generalized", "classical"])
+def test_parseval_raises_when_its_x_side_misses_tol(parseval):
+    with pytest.raises(quadrature.ConvergenceError, match="x side") as err:
+        parseval(_spike_past_40)
+    assert np.isfinite(err.value.best) and err.value.error > 1e-6
+
+
 def test_moment_identity_raises_when_an_integral_misses_tol(monkeypatch):
     gauss = lambda x: np.exp(-np.asarray(x, dtype=float) ** 2)
     _nan_on_one_panel(monkeypatch)
@@ -543,15 +561,23 @@ def test_forward_cost_tool_runs(capsys):
     spec = importlib.util.spec_from_file_location("forward_cost", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    tool.REPEATS = 1
     tool.main()
     assert "counted" not in tr._filon_sum.__qualname__
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1 + len(tool.X_CUTS) * len(tool.LAMS)
-    for line in lines[1:]:
-        cells = line.split()
-        assert int(cells[2]) > 0 and int(cells[3]) > 0
-        # measured when this test was added: at most 8.4e-14
-        assert max(float(cells[4]), float(cells[5])) < 1e-12
+    rows = [line.split() for line in lines[1:]]
+    for cells in rows:
+        # kernel nodes and Filon pairs of each pair, the same routes
+        kern_cl, filon_cl, kern_gen, filon_gen = map(int, cells[2:6])
+        assert kern_cl == kern_gen > 0 and filon_cl == filon_gen >= 0
+        assert min(float(cells[6]), float(cells[7])) > 0.0
+        # measured when this test was changed: at most 1.5e-13
+        assert max(float(cells[8]), float(cells[9])) < 1e-12
+    # at x_cut 40 every lam takes Filon panels, and their count grows
+    # only like log(lam)
+    filon = [int(cells[3]) for cells in rows if cells[0] == "40.0"]
+    assert 0 < filon[0] and filon == sorted(filon) and filon[-1] < 32
 
 
 # unsorted, with duplicates; at x_cut 40 their Gauss grids have 512,
@@ -593,12 +619,77 @@ def test_batched_forward_closed_forms(M):
 
 
 def test_forward_evaluator_batch_equals_elementwise():
+    # a lam's value does not depend on its batch, bit for bit: exp(-x) and
+    # the suite fixtures, on both pairs; one at a time the Filon panels
+    # grow as the lams do
     expx = lambda x: np.exp(-np.asarray(x, dtype=float))
     lam = np.concatenate([_BATCH_LAMS, _FILON_LAMS])
-    batch = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))(lam)
-    single = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))
-    one_by_one = np.array([single(l)[0] for l in lam])
-    assert np.max(np.abs(batch - one_by_one)) <= 1e-15
+    profiles = [(expx, 40.0)] + [(fx, fx.x_cut) for fx in load_suite()]
+    for f, x_cut in profiles:
+        for pair in (tr._generalized_pair(P1), tr._CLASSICAL):
+            batch = tr._ForwardEvaluator(f, pair, x_cut=x_cut)(lam)
+            single = tr._ForwardEvaluator(f, pair, x_cut=x_cut)
+            one_by_one = np.array([single(l)[0] for l in lam])
+            assert np.array_equal(batch, one_by_one), (f, pair.x_atom)
+
+
+def test_filon_table_is_built_once_per_panel_set(monkeypatch):
+    expx = lambda x: np.exp(-np.asarray(x, dtype=float))
+    build, built = tr._legendre_table, []
+
+    def counted(x, xf):
+        built.append(x.shape[0])
+        return build(x, xf)
+
+    monkeypatch.setattr(tr, "_legendre_table", counted)
+    gev = tr._ForwardEvaluator(expx, tr._generalized_pair(P1))
+    gev(np.array([8.0, 12.0]))
+    panels = gev.panels._filon
+    gev(np.array([9.0, 15.0]))  # the same octave: the same panels
+    assert built == [panels.mid.size] and gev.panels._filon is panels
+    assert panels.legendre.shape == (27, panels.mid.size, 16)
+    # a higher octave grows the panels down: a table for the new panels,
+    # held with the old rows by the new panel set
+    gev(np.array([40.0]))
+    grown = gev.panels._filon
+    assert grown is not panels and len(built) == 2
+    assert grown.legendre.shape == (27, grown.mid.size, 16)
+    assert built[1] == grown.mid.size - panels.mid.size > 0
+    assert np.array_equal(grown.legendre[:, built[1]:], panels.legendre)
+    # the same table as panels built at once
+    whole = tr._PanelCache(expx, 40.0).filon(grown.lo)
+    assert np.array_equal(whole.legendre, grown.legendre)
+
+
+def test_filon_series_reproduces_the_kernel_bracket():
+    # at x = 1 and f = 1 the coefficients C_n are the series of the
+    # amplitude a itself: Re[exp(i (z - pi/4)) a(z)] gives back j0(z)
+    # (A = 1) and j1(z)/z (B = 1) to their rounding
+    rng = np.random.default_rng(11)
+    z = np.concatenate([[8.0, 16.9999, 17.0001],
+                        8.0 * (1e9 / 8.0) ** rng.uniform(0.0, 1.0, 120)])
+    one, zero = np.ones_like(z), np.zeros_like(z)
+    env = np.sqrt(2.0 / (np.pi * z))
+    for A, B, expect, scale in ((one, zero, classical.j0(z), env),
+                                (zero, one, classical.j1(z) / z, env / z)):
+        even, odd = tr._amplitude_coeffs(z, A, B)
+        a = even.sum(axis=1) + 1j * odd.sum(axis=1)
+        got = (np.exp(1j * z) * a * np.exp(-0.25j * np.pi)).real
+        assert np.all(np.abs(got - expect) <= 1e-15 * scale)
+
+
+@pytest.mark.parametrize("lam", [1e6, 1e8])
+def test_filon_forward_at_large_lambda_warns_nothing(lam):
+    # the panels reach down to x = 8/lam, where x^(1/2 - n) of the table
+    # is largest; no power overflows, and the value keeps the closed form
+    # (to 1.6e-4 at 1e8, where A = 2.5e15 and x |f K| has mass 1.8e11)
+    expx = lambda x: np.exp(-np.asarray(x, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tr.generalized_forward(expx, P1, [lam], x_cut=40.0).values[0]
+    expect = (1.0 + lam ** 2 / 4.0) * (1.0 + lam ** 2) ** -1.5 \
+        + 0.5 * (1.0 + lam ** 2) ** -0.5
+    assert abs(got - expect) < 1e-3 * expect
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf])
@@ -621,7 +712,7 @@ def test_forward_batch_one_kernel_call_and_one_filon_pass_per_chunk(
 
     def counted_filon(panels, lams, count, A, B):
         calls["lams"].extend(lams)
-        calls["filon"].append(panels.x.shape[1] * int(np.sum(count)))
+        calls["filon"].append(panels.legendre.shape[2] * int(np.sum(count)))
         return filon_sum(panels, lams, count, A, B)
 
     monkeypatch.setattr(tr, "eval_jtype_outer", counted_kernel)
@@ -656,7 +747,7 @@ def test_filon_panels_are_shared_and_octave_aligned():
         assert edges[0] == 8.0 / 2.0 ** np.floor(np.log2(lam))
         assert np.array_equal(edges, (whole._filon.mid - whole._filon.half)
                               [-count[0]:])
-    assert np.array_equal(grown._filon.x, whole._filon.x)
+    assert np.array_equal(grown._filon.legendre, whole._filon.legendre)
     half = whole._filon.half
     assert whole._filon.mid[-1] + half[-1] == 40.0
     assert np.all(np.log2(half[:-1]) == np.round(np.log2(half[:-1])))
@@ -699,7 +790,7 @@ def _count_forward_nodes(monkeypatch):
         return kernel(lams, xs, params)
 
     def counted_filon(panels, lams, panel_count, A, B):
-        count[0] += panels.x.shape[1] * int(np.sum(panel_count))
+        count[0] += panels.legendre.shape[2] * int(np.sum(panel_count))
         return filon_sum(panels, lams, panel_count, A, B)
 
     monkeypatch.setattr(tr, "eval_jtype_outer", counted_kernel)

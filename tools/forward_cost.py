@@ -2,12 +2,20 @@
 
 For each truncation x_cut in X_CUTS and each lambda in LAMS the script
 runs the forward transform of both pairs on two profiles whose transforms
-are known in closed form, one lambda per call, and prints
+are known in closed form, one lambda per call, and prints for the
+classical pair and for the generalized pair at M in MS
 
-* the nodes at which the forward evaluated its kernel: (lambda, node)
-  pairs plus, where the forward has Filon panels, the Filon nodes;
-* the worst absolute error against the closed forms over both profiles,
-  for the classical pair and for the generalized pair at M in MS.
+* the kernel nodes: the (lambda, node) pairs at which the forward
+  evaluated its kernel, on its Gauss grid or on the Gauss head before
+  its Filon panels;
+* the Filon (lambda, panel) pairs, where the forward has Filon panels:
+  each is one short contraction of the panel's table, with no kernel
+  call;
+* the microseconds per lambda of a warm forward (the panel cache built)
+  on 64 lambdas in [lambda, 1.063 lambda), the best of REPEATS runs, the
+  generalized pair at M = 1;
+* the worst absolute error against the closed forms over both profiles
+  (and, for the generalized pair, over MS).
 
 The profiles scale with x_cut so that each has decayed far below double
 rounding at x_cut, where the forward truncates:
@@ -27,6 +35,7 @@ with q = M lam^2 / 4.  Run from the root of a checkout (numpy only):
 
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -38,6 +47,7 @@ from bessel4.solutions import Params  # noqa: E402
 LAMS = (1.0, 8.0, 30.0, 60.0, 320.0)
 X_CUTS = (2.5, 9.0, 40.0)
 MS = (0.5, 1.0, 2.0)
+REPEATS = 5
 
 
 def profiles(x_cut):
@@ -64,30 +74,33 @@ def profiles(x_cut):
              gauss_gen)]
 
 
-class NodeCounter:
-    """Counts the forward's kernel nodes by wrapping its evaluators: the
-    kernel (classical.j0 for the classical pair, eval_jtype_outer for the
-    generalized one) and, where the forward has them, the Filon panels."""
+class CostCounter:
+    """Counts the forward's kernel nodes and its Filon (lambda, panel)
+    pairs by wrapping its kernel (classical.j0 for the classical pair,
+    eval_jtype_outer for the generalized one) and its Filon sum."""
 
     def __init__(self, kernel):
-        self.targets = [kernel, (transforms, "_filon_sum",
-                                 lambda panels, lams, count, A, B:
-                                 panels.x.shape[1] * int(np.sum(count)))]
-        self.nodes = 0
+        self.kernel = kernel
+        self.nodes = self.pairs = 0
         self._saved = []
 
     def __enter__(self):
-        for module, name, size in self.targets:
-            inner = getattr(module, name)
-            self._saved.append((module, name, inner))
-            setattr(module, name, self._counted(inner, size))
-        return self
+        module, name, size = self.kernel
+        kernel, filon_sum = getattr(module, name), transforms._filon_sum
 
-    def _counted(self, inner, size):
-        def counted(*args):
+        def counted_kernel(*args):
             self.nodes += size(*args)
-            return inner(*args)
-        return counted
+            return kernel(*args)
+
+        def counted_filon(panels, lams, count, A, B):
+            self.pairs += int(np.sum(count))
+            return filon_sum(panels, lams, count, A, B)
+
+        self._saved = [(module, name, kernel),
+                       (transforms, "_filon_sum", filon_sum)]
+        setattr(module, name, counted_kernel)
+        transforms._filon_sum = counted_filon
+        return self
 
     def __exit__(self, *exc):
         for module, name, inner in self._saved:
@@ -99,34 +112,56 @@ GENERALIZED_KERNEL = (transforms, "eval_jtype_outer",
                       lambda lams, xs, params: np.broadcast(lams, xs).size)
 
 
+def us_per_lam(pair, f, x_cut, lam):
+    """Microseconds per lambda of the warm forward of 64 lambdas in
+    [lam, 1.063 lam), the best of REPEATS runs."""
+    lams = lam * (1.0 + np.arange(64) / 1000.0)
+    cache = transforms._PanelCache(f, x_cut)
+    transforms._forward_batch(cache, lams, pair)
+    best = np.inf
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        transforms._forward_batch(cache, lams, pair)
+        best = min(best, time.perf_counter() - start)
+    return best / lams.size * 1e6
+
+
 def measure(x_cut, lam):
-    """(classical nodes, generalized nodes, classical error, generalized
-    error), the nodes and errors the largest over the profiles and M."""
-    n_cl = n_gen = 0
-    err_cl = err_gen = 0.0
+    """{pair: (kernel nodes, Filon pairs, us per lambda, error)} for the
+    pairs "cl" and "gen", each the largest over the profiles (and M)."""
+    cost = {"cl": [0, 0, 0.0, 0.0], "gen": [0, 0, 0.0, 0.0]}
+
+    def record(key, count, us, err):
+        row = cost[key]
+        row[:] = [max(row[0], count.nodes), max(row[1], count.pairs),
+                  max(row[2], us), max(row[3], err)]
+
     for f, g_cl, g_gen in profiles(x_cut):
-        with NodeCounter(CLASSICAL_KERNEL) as count:
+        with CostCounter(CLASSICAL_KERNEL) as count:
             got = transforms._forward(transforms._CLASSICAL, f, [lam], None,
                                       0.0, x_cut).values[0]
-        n_cl = max(n_cl, count.nodes)
-        err_cl = max(err_cl, abs(got - g_cl(lam)))
+        record("cl", count, us_per_lam(transforms._CLASSICAL, f, x_cut, lam),
+               abs(got - g_cl(lam)))
+        us = us_per_lam(transforms._generalized_pair(Params(1.0)), f, x_cut,
+                        lam)
         for M in MS:
-            with NodeCounter(GENERALIZED_KERNEL) as count:
+            with CostCounter(GENERALIZED_KERNEL) as count:
                 got = transforms.generalized_forward(f, Params(M), [lam],
                                                      x_cut=x_cut).values[0]
-            n_gen = max(n_gen, count.nodes)
-            err_gen = max(err_gen, abs(got - g_gen(lam, M)))
-    return n_cl, n_gen, err_cl, err_gen
+            record("gen", count, us, abs(got - g_gen(lam, M)))
+    return cost
 
 
 def main():
-    print(f"{'x_cut':>6} {'lam':>6} {'nodes cl':>9} {'nodes gen':>9} "
+    print(f"{'x_cut':>6} {'lam':>6} {'kern cl':>8} {'filon cl':>8} "
+          f"{'kern gen':>8} {'filon gen':>9} {'us cl':>7} {'us gen':>7} "
           f"{'err cl':>9} {'err gen':>9}")
     for x_cut in X_CUTS:
         for lam in LAMS:
-            n_cl, n_gen, e_cl, e_gen = measure(x_cut, lam)
-            print(f"{x_cut:6.1f} {lam:6.0f} {n_cl:9d} {n_gen:9d} "
-                  f"{e_cl:9.1e} {e_gen:9.1e}")
+            cl, gen = (measure(x_cut, lam)[key] for key in ("cl", "gen"))
+            print(f"{x_cut:6.1f} {lam:6.0f} {cl[0]:8d} {cl[1]:8d} "
+                  f"{gen[0]:8d} {gen[1]:9d} {cl[2]:7.1f} {gen[2]:7.1f} "
+                  f"{cl[3]:9.1e} {gen[3]:9.1e}")
 
 
 if __name__ == "__main__":

@@ -28,13 +28,20 @@ I0 is e^(x^2/12) (1 + x^2 T).
 
 The coefficients come from mpmath values of the forms at Chebyshev nodes of
 the first kind (a discrete cosine transform, truncated at the table's
-degree).  The script prints the literal tables that ``classical.py`` holds:
+degree).  The P and x Q tables are printed a second time, in powers of
+s = t + 1 = 128/x^2 (the ``_MONO`` tables, for the Filon panels of the
+forward transform): each is the rounded Chebyshev row, expanded exactly in
+rational arithmetic and rounded once, so both forms describe one
+polynomial.  The script prints the literal tables that ``classical.py``
+holds:
 
     python tools/gen_kernel_tables.py
 
 It needs mpmath only.  ``tests/test_classical.py`` recomputes the tables
 and checks them against the checked-in ones.
 """
+
+from fractions import Fraction
 
 import mpmath as mp
 
@@ -110,6 +117,39 @@ def chebyshev_tables(digits=DIGITS):
     return tables
 
 
+# the modulus-phase rows, printed again in powers of s = t + 1
+MONOMIAL = {"_P0_CHEB": "_P0_MONO", "_XQ0_CHEB": "_XQ0_MONO",
+            "_P1_CHEB": "_P1_MONO", "_XQ1_CHEB": "_XQ1_MONO"}
+
+
+def shifted_monomials(coef):
+    """The coefficients in powers of s of sum_j coef[j] T_j(s - 1), lowest
+    degree first: T_j(s - 1) has integer coefficients in s, so the sum is
+    exact in rationals and each coefficient is rounded once."""
+    polys = [[1], [-1, 1]]
+    while len(polys) < len(coef):
+        a, b = polys[-1], polys[-2]
+        nxt = [0] * (len(a) + 1)  # 2 (s - 1) a - b
+        for i, c in enumerate(a):
+            nxt[i + 1] += 2 * c
+            nxt[i] -= 2 * c
+        for i, c in enumerate(b):
+            nxt[i] -= c
+        polys.append(nxt)
+    out = [Fraction(0)] * len(coef)
+    for c, poly in zip(coef, polys):
+        for i, v in enumerate(poly):
+            out[i] += Fraction(c) * v
+    return tuple(float(v) for v in out)
+
+
+def monomial_tables(tables):
+    """{monomial table name: coefficients} from the Chebyshev rows of P
+    and x Q in ``tables``."""
+    return {mono: shifted_monomials(tables[cheb])
+            for cheb, mono in MONOMIAL.items()}
+
+
 def format_tables(tables, per_line=3):
     lines = []
     for name, coef in tables.items():
@@ -121,4 +161,6 @@ def format_tables(tables, per_line=3):
 
 
 if __name__ == "__main__":
-    print(format_tables(chebyshev_tables()))
+    tables = chebyshev_tables()
+    print(format_tables(tables))
+    print(format_tables(monomial_tables(tables)))
