@@ -22,14 +22,14 @@ print("\n[1, x](x) has no 0+ limit (grows like 9/x):")
 for x in (0.1, 0.01, 0.001):
     print(f"  x = {x:6.3f}: {F.symplectic_form(one, F.SeriesBundle.monomial(1), x, P):12.3f}")
 
-print("\nboundary data of the regular solutions (Richardson + cross-checks):")
+print("\nboundary data of the regular solutions (read from the series at 0):")
 for kind in (SolutionKind.jtype, SolutionKind.itype):
     h = F.SolutionBundle(SolutionHandle(kind, 1.0, P))
     b = F.boundary_data(h, P)
     print(f"  {kind.value}: f(0) = {b.f0:+.10f}   f''(0) = {b.f2:+.10f}"
           f"   (closed form -M L/16 = {-9.0 / 16.0:+.10f})")
 
-print("\nlimit identities on the jtype bundle:")
+print("\nlimit identities on the jtype bundle (Richardson on the forms):")
 h = F.SolutionBundle(SolutionHandle(SolutionKind.jtype, 1.0, P))
 b = F.boundary_data(h, P)
 grid = 1e-2 / 2.0 ** np.arange(5)

@@ -12,11 +12,11 @@ Central objects:
   it reads the derivative stack.
 * the symplectic form [f, g](x) from the Green identity and the Dirichlet
   form [f, g]_D(x), with interval checkers for both integral identities.
-* ``boundary_data``: the limits f(0), f''(0) by Richardson extrapolation
-  on a ratio-2 geometric grid; the repeated-exponent ladder (2, 2, 4, 4)
-  absorbs the x^(2k) ln x corrections that maximal-domain functions
-  carry.  Both limits are cross-checked against the boundary-form
-  identities [f,1](0+) = -8 f''(0) and [f,x^2](0+) = 16 f(0).
+* ``boundary_data``: the limits f(0), f''(0), read exactly as c(0, 0) and
+  2 c(2, 0) of the local log-power series at 0 (or from ``boundary_exact``)
+  once no term below x^4 but 1 and x^2 puts f outside the maximal domain.
+  ``_ladder``, Richardson extrapolation on a ratio-2 grid, serves checks of
+  the limit identities [f,1](0+) = -8 f''(0) and [f,x^2](0+) = 16 f(0).
 * ``apply_jump_operator``: the operator of the jump space, equal to
   -8 f''(0)/k at the origin and x^-1 (expression) elsewhere.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .equation import boundary_form, equation_op, weight
 from .logseries import DiffOp, LogPowerSeries
-from .quadrature import adaptive_quad
+from .quadrature import ConvergenceError, adaptive_quad
 from .solutions import (Params, SolutionHandle, eval_solution_derivs,
                         series_radius, solution_series)
 
@@ -42,7 +42,7 @@ class FnBundle:
 
     Subclasses provide ``derivs(x, order)`` returning rows d^0..d^order on
     the points x, and may expose a local log-power series near 0 through
-    ``local_series(x)`` plus the radius where it is valid.
+    ``_series()`` plus the radius ``series_valid_below`` where it is valid.
     """
 
     series_valid_below = 0.0
@@ -50,7 +50,13 @@ class FnBundle:
     def derivs(self, x, order=4):
         raise NotImplementedError
 
+    def _series(self):
+        return None
+
     def local_series(self, x=0.0):
+        """The local log-power series if it is valid at every x, else None."""
+        if np.all(np.atleast_1d(x) < self.series_valid_below):
+            return self._series()
         return None
 
     def value(self, x):
@@ -73,10 +79,8 @@ class SolutionBundle(FnBundle):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         return np.atleast_2d(eval_solution_derivs(self.handle, arr, order))
 
-    def local_series(self, x=0.0):
-        if np.all(np.atleast_1d(x) < self.series_valid_below):
-            return solution_series(self.handle)
-        return None
+    def _series(self):
+        return solution_series(self.handle)
 
 
 class SeriesBundle(FnBundle):
@@ -102,7 +106,7 @@ class SeriesBundle(FnBundle):
         stack = self.series.derivatives(order)
         return np.vstack([np.atleast_1d(s.evaluate(arr)) for s in stack])
 
-    def local_series(self, x=0.0):
+    def _series(self):
         return self.series
 
 
@@ -133,10 +137,12 @@ class PolyGaussBundle(FnBundle):
         return np.vstack([self._poly(n)(arr) * damp for n in range(order + 1)])
 
     def boundary_exact(self):
-        c = self.coeffs
-        f0 = c[0] if len(c) > 0 else 0.0
-        f2 = 2.0 * (c[2] if len(c) > 2 else 0.0) - 2.0 * self.sigma * c[0]
-        return f0, f2
+        """(f(0), f''(0)); an x or x^3 term puts f outside the maximal domain."""
+        c = np.zeros(4)
+        c[:self.coeffs.size] = self.coeffs[:4]
+        if c[1] or c[3]:
+            raise NotInMaximalDomain(f"p has an x or x^3 term: {c}")
+        return c[0], 2.0 * c[2] - 2.0 * self.sigma * c[0]
 
 
 class ProductBundle(FnBundle):
@@ -168,10 +174,8 @@ class ProductBundle(FnBundle):
             rows.append(acc)
         return np.vstack(rows)
 
-    def local_series(self, x=0.0):
-        if np.all(np.atleast_1d(x) < self.series_valid_below):
-            return self.left.local_series(x)
-        return None
+    def _series(self):
+        return self.left._series()
 
 
 class PlateauBundle(FnBundle):
@@ -223,12 +227,10 @@ class LinComboBundle(FnBundle):
             out = d if out is None else out + d
         return out
 
-    def local_series(self, x=0.0):
-        if not np.all(np.atleast_1d(x) < self.series_valid_below):
-            return None
+    def _series(self):
         acc = LogPowerSeries()
         for w, b in zip(self.weights, self.bundles):
-            s = b.local_series(x)
+            s = b._series()
             if s is None:
                 return None
             acc = acc + s.scale(w)
@@ -320,7 +322,8 @@ def dirichlet_form(f, g, x, params: Params):
 
 
 def greens_check(f, g, a, b, params: Params, tol=1e-9):
-    """Defect of the Green identity on [a, b]; small for smooth bundles."""
+    """Defect of the Green identity on [a, b]; small for smooth bundles,
+    inf if the integral does not converge to tol."""
     f, g = as_bundle(f), as_bundle(g)
 
     def integrand(x):
@@ -328,6 +331,8 @@ def greens_check(f, g, a, b, params: Params, tol=1e-9):
                 - f.derivs(x, 0)[0] * apply_expression(g, x, params))
 
     quad = adaptive_quad(integrand, a, b, tol=tol)
+    if not quad.converged:
+        return np.inf
     boundary = symplectic_form(f, g, b, params) - symplectic_form(f, g, a, params)
     return abs(quad.value - boundary)
 
@@ -373,15 +378,7 @@ class BoundaryData:
 
 
 class NotInMaximalDomain(ValueError):
-    """The 0+ cross-checks failed: the function has no boundary data."""
-
-
-_ONE = SeriesBundle.monomial(0)
-_XSQ = SeriesBundle.monomial(2)
-# the ratio-2 grid below 1e-2 of ``boundary_data``, and the relative
-# tolerance of its cross-checks
-_BOUNDARY_GRID = 1e-2 / 2.0 ** np.arange(5)
-_CHECK_TOL = 1e-5
+    """f has a term near 0 that puts it outside the maximal domain."""
 
 
 def _ladder(values, exponents=(2, 2, 4, 4)):
@@ -401,35 +398,40 @@ def _ladder(values, exponents=(2, 2, 4, 4)):
 
 
 def boundary_data(f, params: Params) -> BoundaryData:
-    """Extrapolated limits f(0+), f''(0+) for a maximal-domain function.
+    """The limits f(0+), f''(0+) of a maximal-domain function, exactly.
 
-    Cross-checks against the symplectic-form identities; a relative
-    mismatch above ``_CHECK_TOL`` raises NotInMaximalDomain.
+    Read from ``f.boundary_exact()`` where the bundle has it, else from its
+    local log-power series at 0 as c(0, 0) and 2 c(2, 0).  The expression
+    takes x^p ln^d x to x^(p-3) times logs, so below p = 4 only the
+    indicial terms 1 and x^2 keep f and x^-1 (expression) square-integrable
+    for x dx near 0: any other term there with c != 0 (x^-2, ln x, x, x^2
+    ln x, x^3, ...) raises NotInMaximalDomain.  A bundle with neither a
+    series nor ``boundary_exact`` gets a ValueError.  The limits do not
+    depend on ``params``.
     """
     f = as_bundle(f)
-    grid = _BOUNDARY_GRID
-    d = f.derivs(grid, 2)
-    f0 = _ladder(d[0])
-    f2 = _ladder(d[2])
-    s1 = _ladder(symplectic_form(f, _ONE, grid, params))
-    s2 = _ladder(symplectic_form(f, _XSQ, grid, params))
-    scale = 1.0 + abs(f0) + abs(f2)
-    # -8 = 1 - 9 and 16 = 18 - 2 come from the 9/x term of p_1, not from
-    # the M-term's c
-    if abs(s1 - (-8.0 * f2)) > 8.0 * _CHECK_TOL * scale \
-            or abs(s2 - 16.0 * f0) > 16.0 * _CHECK_TOL * scale:
-        raise NotInMaximalDomain(
-            f"boundary cross-checks failed: [f,1](0+)={s1:.3e} vs "
-            f"-8 f''(0)={-8.0 * f2:.3e}; [f,x^2](0+)={s2:.3e} vs "
-            f"16 f(0)={16.0 * f0:.3e}")
-    return BoundaryData(f0=float(f0), f2=float(f2))
+    exact = getattr(f, "boundary_exact", None)
+    if exact is not None:
+        return BoundaryData(*map(float, exact()))
+    series = f.local_series(0.0)
+    if series is None:
+        raise ValueError(f"{type(f).__name__} has neither a local series at 0 "
+                         "nor boundary_exact, so no boundary data")
+    outside = sorted(key for key, c in series.items()
+                     if c and key[0] < 4 and key not in ((0, 0), (2, 0)))
+    if outside:
+        raise NotInMaximalDomain("the series at 0 has terms x^p ln(x)^d "
+                                 f"outside the maximal domain at (p, d) in {outside}")
+    return BoundaryData(f0=float(series.coeff(0, 0)),
+                        f2=2.0 * float(series.coeff(2, 0)))
 
 
 # ---------------------------------------------------------------------------
 # jump-space operator and higher-order expressions
 
-def apply_jump_operator(f, k, x, params: Params, boundary: BoundaryData = None):
-    """Value of the jump-space operator at x (x = 0 uses -8 f''(0) / k)."""
+def apply_jump_operator(f, k, x, params: Params):
+    """Value of the jump-space operator at x (x = 0 uses -8 f''(0) / k, with
+    f''(0) from ``boundary_data``)."""
     if k <= 0.0:
         raise ValueError("k must be positive")
     f = as_bundle(f)
@@ -438,15 +440,8 @@ def apply_jump_operator(f, k, x, params: Params, boundary: BoundaryData = None):
     out = np.empty_like(arr)
     zero = arr == 0.0
     if np.any(zero):
-        if boundary is None:
-            exact = getattr(f, "boundary_exact", None)
-            if exact is not None:
-                f0, f2 = exact()
-                boundary = BoundaryData(f0, f2)
-            else:
-                boundary = boundary_data(f, params)
         # [f, 1](0+) = -8 f''(0), the 9/x term's -9 plus 1 (not c)
-        out[zero] = -8.0 / k * boundary.f2
+        out[zero] = -8.0 / k * boundary_data(f, params).f2
     if np.any(~zero):
         xs = arr[~zero]
         out[~zero] = apply_expression(f, xs, params) / xs
@@ -455,7 +450,8 @@ def apply_jump_operator(f, k, x, params: Params, boundary: BoundaryData = None):
 
 def dirichlet_integral(f, params: Params, upper=40.0, tol=1e-9):
     """integral over (0, upper) of x f''^2 + (9/x + 8x/M) f'^2,
-    with the [upper, 2*upper] segment returned as a tail estimate."""
+    with the [upper, 2*upper] segment returned as a tail estimate;
+    ConvergenceError when either misses tol."""
     f = as_bundle(f)
 
     def energy(x):
@@ -464,4 +460,7 @@ def dirichlet_integral(f, params: Params, upper=40.0, tol=1e-9):
 
     main = adaptive_quad(energy, 0.0, upper, tol=tol)
     tail = adaptive_quad(energy, upper, 2.0 * upper, tol=tol)
+    if not (main.converged and tail.converged):
+        raise ConvergenceError(f"the Dirichlet integral missed tol={tol}",
+                               best=main.value + tail.value, error=main.error + tail.error)
     return main.value + tail.value, abs(tail.value)

@@ -30,10 +30,11 @@ at z = 1.01, 1.3e-14 at 2.01 and at most 2.9e-15 at 3.99-4.01; the 18-term
 series by at most 1.5e-14 through z = 4 (order 1 at z = 3, lambda = M =
 10, where d = 251) and 1.7e-11 at z = 6.
 
-ytype and ktype keep their log-power series below z = 1, whose x^-2 and
-ln x parts the boundary-form calculus reads exactly.  Their direct path is
-about as accurate there (within 4.7e-15 on z in [1e-3, 3]), but dearer for
-orders 0-4 on 16384 points below z = 1: ytype 3.0 -> 5.2 ms, ktype 4.0 -> 5.5.
+ytype and ktype keep their log-power series below z = 1, built by one
+long-double generator, ``_log_series``; the boundary-form calculus reads
+their x^-2 and ln x parts exactly.  Their direct path is about as
+accurate there (within 4.7e-15 on z in [1e-3, 3]), but dearer for orders
+0-4 on 16384 points below z = 1: ytype 3.0 -> 5.2 ms, ktype 4.0 -> 5.5.
 """
 
 import math
@@ -47,7 +48,6 @@ from . import classical
 from .equation import _EQUATIONS
 from .logseries import LogPowerSeries, _horner
 
-_EG = np.euler_gamma
 _SERIES_SWITCH = 1.0    # ytype, ktype: the log series for z = scale*x below this
 _REGULAR_SWITCH = 4.0   # jtype, itype: the power series for z below this
 _SERIES_TERMS = 18
@@ -159,8 +159,36 @@ def _structure(kind: SolutionKind, lam, params: Params):
 # ---------------------------------------------------------------------------
 # small-argument series
 
-def _harmonic(n):
-    return sum(1.0 / k for k in range(1, n + 1))
+_LD_EG = np.longdouble("0.57721566490153286060651209008240243")
+_LD_2_PI = 2 / np.arccos(np.longdouble(-1))
+# (k0, k1, tau, sigma) of ``_log_series`` per kind
+_LOG_KINDS = {SolutionKind.ytype: (_LD_2_PI, _LD_2_PI, -1, -1),
+              SolutionKind.ktype: (-1, 1, 1, 1)}
+
+
+def _log_series(kind: SolutionKind, a: float, M: float) -> LogPowerSeries:
+    """Series of A C0(z) + B C1(z)/z at z = a x, q = M a^2/4, for C = Y with
+    (A, B) = (1 + q, -2 q) or K with (q - 1, 2 q), formed in long double and
+    rounded once.  With t_k = (sigma z^2/4)^k / (k!)^2, H_k the harmonic
+    numbers and s_k = H_k + H_(k+1) - 2 gamma (A&S 9.1.11, 9.1.13, 9.6.11,
+    9.6.13), C0(z) = k0 [ln(z/2) sum t_k + sum (gamma - H_k) t_k] and
+    C1(z)/z = k1 [ln(z/2) sum t_k / (2 (k + 1)) + tau z^-2 - sum s_k t_k /
+    (4 (k + 1))]: a log part, an entire part and a pole."""
+    k0, k1, tau, sigma = _LOG_KINDS[kind]
+    a = np.longdouble(a)
+    q = M * a * a / 4
+    A, B = (1 + q, -2 * q) if kind is SolutionKind.ytype else (q - 1, 2 * q)
+    k = np.arange(_SERIES_TERMS, dtype=np.longdouble)
+    t = np.cumprod(np.r_[1, sigma * a * a / 4 / k[1:] ** 2])
+    h = np.cumsum(np.r_[0, 1 / k[1:]])
+    ell = np.log(a / 2)
+    rows = {1: t * (k0 * A + k1 * B / (2 * (k + 1))),
+            0: t * (k0 * A * (ell + _LD_EG - h) + k1 * B
+                    * (2 * ell - 2 * h - 1 / (k + 1) + 2 * _LD_EG) / (4 * (k + 1)))}
+    terms = {(2 * j, d): float(c) for d, row in rows.items()
+             for j, c in enumerate(row) if c}
+    terms[(-2, 0)] = float(k1 * B * tau / (a * a))
+    return LogPowerSeries(terms)
 
 
 def ktype_scale_series(a: float, M: float) -> LogPowerSeries:
@@ -169,28 +197,11 @@ def ktype_scale_series(a: float, M: float) -> LogPowerSeries:
     This parametrizes the exponentially decaying solutions directly by
     their decay rate a > 0, covering both real lambda (a = c) and the
     negative-spectral-value branch where lambda is imaginary.  The x^-2
-    coefficient is M/2 and the ln x coefficient is exactly 1 for every a,
-    which is what makes differences of two such solutions regular at 0.
+    coefficient is M/2 and the ln x coefficient is 1 for every a (each
+    rounded once from long double), which is what makes differences of
+    two such solutions regular at 0.
     """
-    a2 = a * a
-    d = M * a2 / 4.0 - 1.0
-    e_big = a2 * M / 2.0
-    ell = math.log(a / 2.0)
-    terms = {(-2, 0): M / 2.0}
-    for k in range(_SERIES_TERMS):
-        fk = math.factorial(k)
-        fk1 = math.factorial(k + 1)
-        hk = _harmonic(k)
-        sk = hk + _harmonic(k + 1) - 2.0 * _EG
-        base = (a2 / 4.0) ** k
-        blog = 1.0 if k == 0 else base * (-d / fk ** 2 + (e_big / 2.0) / (fk * fk1))
-        areg = base * (-d * (ell + _EG - hk) / fk ** 2
-                       + e_big * (ell / 2.0 - sk / 4.0) / (fk * fk1))
-        if blog != 0.0:
-            terms[(2 * k, 1)] = blog
-        if areg != 0.0:
-            terms[(2 * k, 0)] = areg
-    return LogPowerSeries(terms)
+    return _log_series(SolutionKind.ktype, a, M)
 
 
 def _regular_coeffs(kind: SolutionKind, lams, M: float, nterms: int):
@@ -221,26 +232,7 @@ def _series_cached(kind: SolutionKind, lam: float, M: float):
     if kind in _REGULAR:
         row = _regular_coeffs(kind, [lam], M, _SERIES_TERMS)[0]
         return LogPowerSeries({(2 * k, 0): float(c) for k, c in enumerate(row) if c})
-    if kind is SolutionKind.ktype:
-        return ktype_scale_series(math.sqrt(lam * lam + _MTERM_C / M), M)
-    mq = M * (lam / 2.0) ** 2
-    d = 1.0 + mq
-    ell = math.log(lam / 2.0)
-    terms = {(-2, 0): M / np.pi}
-    for k in range(_SERIES_TERMS):
-        fk = math.factorial(k)
-        fk1 = math.factorial(k + 1)
-        hk = _harmonic(k)
-        sk = hk + _harmonic(k + 1) - 2.0 * _EG
-        base = (2.0 / np.pi) * (-1.0) ** k * (lam * lam / 4.0) ** k
-        blog = 2.0 / np.pi if k == 0 else base * (d / fk ** 2 - mq / (fk * fk1))
-        areg = base * ((ell + _EG) * d / fk ** 2 - d * hk / fk ** 2
-                       - mq * ell / (fk * fk1) + (mq / 2.0) * sk / (fk * fk1))
-        if blog != 0.0:
-            terms[(2 * k, 1)] = blog
-        if areg != 0.0:
-            terms[(2 * k, 0)] = areg
-    return LogPowerSeries(terms)
+    return _log_series(kind, float(_structure(kind, lam, Params(M))[0]), M)
 
 
 def solution_series(handle: SolutionHandle) -> LogPowerSeries:

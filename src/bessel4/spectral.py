@@ -13,11 +13,11 @@ For mu in the real-decay window (-16/M^2, 0) the eigenfunction is built
 in closed form: the quartic lambda^2(lambda^2 + 8/M) = mu has two
 negative roots t of lambda^2, each giving a decaying solution
 d K0(a x) + (a M/2) x^-1 K1(a x) with decay rate a = sqrt(t + 8/M).
-Both carry the identical singular parts (M/2) x^-2 + ln x + O(x^2), so
-their plain difference is regular at the origin, decays at infinity, and
-is the (unique up to scale) candidate eigenfunction.  Outside the window
-the two rates coalesce or become a complex pair and this construction is
-not attempted.
+Both carry the identical singular parts (M/2) x^-2 + ln x + O(x^2) and
+equal x^2 ln x terms, so their plain difference has limits f(0+), f''(0+),
+decays at infinity, and is the (unique up to scale) candidate
+eigenfunction.  Outside the window the two rates coalesce or become a
+complex pair and this construction is not attempted.
 """
 
 import math
@@ -97,26 +97,25 @@ class DecayingCandidateBundle(FnBundle):
         self.series_valid_below = _SERIES_SWITCH / self.a_plus
         raw = ktype_scale_series(self.a_minus, params.M) \
             - ktype_scale_series(self.a_plus, params.M)
-        sing = abs(raw.coeff(-2, 0)) + abs(raw.coeff(0, 1))
+        # x^-2, ln x and x^2 ln x cancel (the last as a_minus^2 + a_plus^2 = 8/M)
+        sing = abs(raw.coeff(-2, 0)) + abs(raw.coeff(0, 1)) + abs(raw.coeff(2, 1))
         if sing > 1e-10 * (1.0 + params.M):
             raise RegularityError(
                 f"singular parts failed to cancel (leftover {sing:.2e})")
-        self._series = LogPowerSeries(
-            {(p, d): c for (p, d), c in raw.items() if p >= 0 and not (p == 0 and d == 1)})
+        self.series = LogPowerSeries(
+            {(p, d): c for (p, d), c in raw.items() if p >= 0 and (d == 0 or p > 2)})
 
     def derivs(self, x, order=4):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         M = self.params.M
         return _two_paths(
             arr, self.series_valid_below,
-            lambda m: [s.evaluate(arr[m]) for s in self._series.derivatives(order)],
+            lambda m: [s.evaluate(arr[m]) for s in self.series.derivatives(order)],
             lambda m: ktype_scale_derivs(self.a_minus, M, arr[m], order)
             - ktype_scale_derivs(self.a_plus, M, arr[m], order), order)
 
-    def local_series(self, x=0.0):
-        if np.all(np.atleast_1d(x) < self.series_valid_below):
-            return self._series
-        return None
+    def _series(self):
+        return self.series
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def decaying_regular_solution(mu: float, params: Params,
 
     Checks performed: the singular parts cancel, the residual against the
     equation stays below 1e-6 on the grid, the function decays at large x,
-    and the boundary data is finite with passing cross-checks.
+    and the boundary data, read from its series at 0, exists.
     """
     fn = DecayingCandidateBundle(mu, params)
     if residual_grid is None:

@@ -809,7 +809,8 @@ def vanishing_moment(eta: float, params: Params, tol=1e-7) -> float:
 
     The integrand decays only like lam^(-3/2) with oscillation spacing
     pi/eta, so the bracket accelerator does the tail; a plain tail
-    substitution cannot see the cancellation.
+    substitution cannot see the cancellation.  Raises ConvergenceError
+    when the head misses tol/10 or the tail misses tol.
     """
     if eta <= 0.0:
         raise ValueError("eta must be positive (the total mass 2/M is the "
@@ -824,6 +825,9 @@ def vanishing_moment(eta: float, params: Params, tol=1e-7) -> float:
     head = adaptive_quad(integrand, 0.0, start, tol=tol * 0.1)
     r = oscillatory_semi_infinite(lambda lam: integrand(lam + start),
                                   np.pi / eta, tol=tol)
+    if not (head.converged and r.converged):
+        raise ConvergenceError(f"vanishing_moment missed tol={tol}",
+                               best=head.value + r.value, error=head.error + r.error)
     return head.value + r.value
 
 
@@ -958,7 +962,8 @@ def weak_delta_probe(kind, lam0, X, params: Params = None, half_width=0.5,
     """integral of kernel(lam0, mu, X) phi(mu) d mu against a smooth bump.
 
     Converges to phi(lam0) = 1 as X grows; the O(1/X) rate is the
-    distributional identity made quantitative.
+    distributional identity made quantitative.  Raises ConvergenceError
+    when the integral misses tol.
     """
     def phi(mu):
         return smooth_bump((np.asarray(mu, dtype=float) - lam0) / half_width)
@@ -976,4 +981,7 @@ def weak_delta_probe(kind, lam0, X, params: Params = None, half_width=0.5,
         raise ValueError("kind must be 'classical' or 'generalized'")
     r = adaptive_quad(fn, lam0 - half_width, lam0 + half_width, tol=tol,
                       max_panels=20000)
+    if not r.converged:
+        raise ConvergenceError(f"the {kind} delta probe did not reach tol={tol}",
+                               best=r.value, error=r.error)
     return r.value

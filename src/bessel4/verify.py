@@ -397,8 +397,7 @@ def _sk_positivity():
     worst = -np.inf
     for k in (0.5, 0.5 * _P1.M):
         for f in _positivity_suite():
-            b = F.BoundaryData(*f.boundary_exact())
-            atom = k * F.apply_jump_operator(f, k, 0.0, _P1, boundary=b) \
+            atom = k * F.apply_jump_operator(f, k, 0.0, _P1) \
                 * f.derivs(np.array([0.0]), 0)[0][0]
             worst = max(worst, -(atom + _energy_body(f)))
     return worst

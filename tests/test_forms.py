@@ -8,6 +8,7 @@ import pytest
 from bessel4 import forms as F
 from bessel4.equation import equation_op
 from bessel4.frobenius import y4_series
+from bessel4.quadrature import ConvergenceError
 from bessel4.solutions import (Params, SolutionHandle, SolutionKind,
                                spectral_value)
 
@@ -102,6 +103,9 @@ def test_dirichlet_check_reports_nonconvergence():
             return np.full((order + 1, np.size(x)), np.nan)
 
     assert F.dirichlet_check(NanBundle(), XSQ, 1.0, 2.0, P1) == np.inf
+    assert F.greens_check(NanBundle(), XSQ, 1.0, 2.0, P1) == np.inf
+    with pytest.raises(ConvergenceError):
+        F.dirichlet_integral(NanBundle(), P1)
 
 
 def test_dirichlet_form_zero_cases():
@@ -120,14 +124,55 @@ def test_dirichlet_form_boundary_identity():
     assert v == pytest.approx(8.0 * bj.f2 * 1.0, rel=1e-6)
 
 
-@pytest.mark.parametrize("lam,M", [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)])
+# the operator-calculus box, lambda in [0.2, 3] and M in [0.5, 2]: its
+# corners and seeded log-uniform draws
+_RNG = np.random.default_rng(21)
+_BOX = [(0.2, 0.5), (0.2, 2.0), (3.0, 0.5), (3.0, 2.0)] + [
+    (round(float(np.exp(_RNG.uniform(np.log(0.2), np.log(3.0)))), 4),
+     round(float(np.exp(_RNG.uniform(np.log(0.5), np.log(2.0)))), 4))
+    for _ in range(12)]
+
+
+@pytest.mark.parametrize("lam,M", [(0.5, 1.0), (1.0, 1.0), (2.0, 0.5)] + _BOX)
 @pytest.mark.parametrize("kind", [SolutionKind.jtype, SolutionKind.itype])
 def test_boundary_data_regular_solutions(kind, lam, M):
+    # read from the series at 0: f(0) is BT-NORM's exact 1
     P = Params(M)
     b = F.boundary_data(F.SolutionBundle(SolutionHandle(kind, lam, P)), P)
-    assert b.f0 == pytest.approx(1.0, abs=1e-8)
+    assert b.f0 == 1.0
     L = spectral_value(lam, P)
-    assert b.f2 == pytest.approx(-M * L / 16.0, rel=1e-6, abs=1e-9)
+    assert b.f2 == pytest.approx(-M * L / 16.0, rel=1e-15)
+
+
+def _mp_candidate_boundary(mu, M):
+    """(f(0), f''(0)) of the decaying candidate from mpmath's K0 and K1 at
+    120 digits: f(1e-40), and 2 (f(x) - f(0))/x^2 at x = 1e-12, whose
+    next term is O(x^2 ln x)."""
+    import mpmath as mp
+    with mp.workdps(120):
+        M, mu = mp.mpf(M), mp.mpf(mu)
+        s = mp.sqrt(16 / M ** 2 + mu)
+        rates = ((1, mp.sqrt(4 / M - s)), (-1, mp.sqrt(4 / M + s)))
+
+        def f(x):
+            return sum(sign * ((M * a * a / 4 - 1) * mp.besselk(0, a * x)
+                               + a * M / 2 / x * mp.besselk(1, a * x))
+                       for sign, a in rates)
+
+        f0, x = f(mp.mpf("1e-40")), mp.mpf("1e-12")
+        return float(f0), float(2 * (f(x) - f0) / x ** 2)
+
+
+@pytest.mark.parametrize("M", [0.5, 1.0, 2.0])
+def test_boundary_data_decaying_candidate(M):
+    from bessel4.spectral import DecayingCandidateBundle
+    P = Params(M)
+    for frac in (1e-3, 0.1, 0.5, 0.9, 0.99):
+        mu = -(16.0 / M ** 2) * frac
+        b = F.boundary_data(DecayingCandidateBundle(mu, P), P)
+        f0, f2 = _mp_candidate_boundary(mu, M)
+        assert b.f0 == pytest.approx(f0, rel=1e-12)
+        assert b.f2 == pytest.approx(f2, rel=1e-12)
 
 
 def test_boundary_data_pure_power_series():
@@ -137,8 +182,26 @@ def test_boundary_data_pure_power_series():
 
 
 def test_boundary_cross_check_rejects_singular_function():
-    with pytest.raises(F.NotInMaximalDomain):
-        F.boundary_data(F.SeriesBundle.monomial(-2), P1)
+    # below x^4 only 1 and x^2 stay in the maximal domain; any other term,
+    # at any size, rejects f: x^-2, ln x, x ln x, x^2 ln x, x and x^3
+    terms = [(-2, 0), (0, 1), (1, 1), (2, 1), (1, 0), (3, 0)]
+    outside = [F.SeriesBundle(F.LogPowerSeries(
+        {(0, 0): 1.0, (2, 0): 1.0, (p, d): 1e-300})) for p, d in terms]
+    outside += [SolutionHandle(SolutionKind.ytype, 1.0, P1),
+                F.PolyGaussBundle([1.0, 0.0, 0.0, 1e-300]),
+                F.PolyGaussBundle([0.0, 1.0])]
+    for f in outside:
+        with pytest.raises(F.NotInMaximalDomain):
+            F.boundary_data(f, P1)
+    ok = F.boundary_data(F.SeriesBundle(F.LogPowerSeries(
+        {(0, 0): 1.0, (2, 0): 1.0, (4, 1): 1.0, (5, 0): 1.0})), P1)
+    assert (ok.f0, ok.f2) == (1.0, 2.0)
+
+
+def test_boundary_data_needs_a_series_or_exact_data():
+    with pytest.raises(ValueError, match="neither a local series") as err:
+        F.boundary_data(F.PlateauBundle(1.0, 3.0), P1)
+    assert not isinstance(err.value, F.NotInMaximalDomain)
 
 
 def test_jump_operator_values():
@@ -147,7 +210,7 @@ def test_jump_operator_values():
     assert F.apply_jump_operator(fs, 2.0, 0.0, P1) == pytest.approx(0.0, abs=1e-9)
     hi = F.SolutionBundle(SolutionHandle(SolutionKind.itype, 1.0, P1))
     b = F.boundary_data(hi, P1)
-    v = F.apply_jump_operator(hi, 2.0, 0.0, P1, boundary=b)
+    v = F.apply_jump_operator(hi, 2.0, 0.0, P1)
     assert v == pytest.approx(-4.0 * b.f2, rel=1e-12)
     # x > 0 branch: expression / x
     x = 0.8
@@ -269,7 +332,7 @@ def test_jump_form_positivity_on_cutoff_solution_combinations():
         assert bdata.f2 == pytest.approx(-(a + b) * L / 16.0, rel=1e-5,
                                          abs=1e-8)
         for k in (0.5, P1.M / 2.0):
-            atom = k * F.apply_jump_operator(f, k, 0.0, P1, boundary=bdata) \
+            atom = k * F.apply_jump_operator(f, k, 0.0, P1) \
                 * bdata.f0
             # absolute tolerances sized to the O(1e3) integrand magnitude
             body = adaptive_quad(

@@ -493,6 +493,19 @@ def test_moment_identity_raises_when_an_integral_misses_tol(monkeypatch):
     assert np.isfinite(err.value.best) and err.value.error > 1e-6
 
 
+@pytest.mark.parametrize("call", [
+    lambda: tr.vanishing_moment(1.0, P1, tol=1e-300),
+    lambda: tr.weak_delta_probe("classical", 1.0, 200.0, tol=1e-300),
+    lambda: tr.weak_delta_probe("generalized", 1.0, 200.0, params=P1,
+                                tol=1e-300)],
+    ids=["vanishing_moment", "delta_classical", "delta_generalized"])
+def test_moment_and_delta_probes_raise_when_an_integral_misses_tol(call):
+    # no rule reaches tol = 1e-300; the best value still reaches the caller
+    with pytest.raises(quadrature.ConvergenceError) as err:
+        call()
+    assert np.isfinite(err.value.best) and err.value.error > 0.0
+
+
 @pytest.mark.parametrize("lam, M", [(0.05, 0.3), (0.9, 1.0), (3.7, 7.0)])
 def test_diagonal_spectral_slope_matches_spectral_value(lam, M):
     # the diagonal kernel divides by L'(lam); it must be the derivative of
