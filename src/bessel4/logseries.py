@@ -10,8 +10,8 @@ degree d become one dense coefficient array over their power range
 pmin..pmax in steps of g, the gcd of the power gaps (2 for the solution
 series).  Evaluation is then one Horner pass in x^g per log degree, times
 x^pmin and ln(x)^d, instead of a power x**p per term.  ``_horner`` is the
-one polynomial evaluator: ``solutions._regular_derivs`` runs it on the
-jtype or itype coefficients of many lambdas and orders at once.
+one polynomial evaluator: ``solutions._series_derivs`` runs it on the
+series rows of every kind, many lambdas and orders at once.
 
 A ``DiffOp`` is a sum of terms ``coeff * x**m * D**j``.  Applying one to a
 monomial x**p multiplies by the falling factorial p(p-1)...(p-j+1); the
@@ -26,8 +26,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-
-_PRUNE = 0.0  # magnitudes are kept exactly; pruning only drops exact zeros
 
 
 def _horner(coeffs, y):
@@ -88,20 +86,10 @@ class LogPowerSeries:
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0.0) + c
-        return LogPowerSeries({k: v for k, v in out.items() if v != _PRUNE})
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0.0) - c
-        return LogPowerSeries({k: v for k, v in out.items() if v != _PRUNE})
+        return LogPowerSeries({k: v for k, v in out.items() if v != 0.0})
 
     def scale(self, factor):
         return LogPowerSeries({k: v * factor for k, v in self.terms.items()})
-
-    def shift(self, m):
-        """Multiply by x^m."""
-        return LogPowerSeries({(p + m, d): c for (p, d), c in self.terms.items()})
 
     def derivative(self):
         out = {}

@@ -62,6 +62,13 @@ class QuadResult:
     converged: bool
     neval: int
 
+    def checked(self, what, tol):
+        """The value; ConvergenceError naming ``what`` if it missed tol."""
+        if not self.converged:
+            raise ConvergenceError(f"{what} did not reach tol={tol}",
+                                   best=self.value, error=self.error)
+        return self.value
+
 
 _NODES = {}
 

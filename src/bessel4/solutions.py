@@ -19,22 +19,25 @@ is a Laurent recurrence in u, v, summed in ascending powers from one table
 of the powers of z (Horner's rule and folding A p_u + B p_v into one
 polynomial both measured less accurate against mpmath).
 
-jtype and itype are power series in x^2 (A&S 9.1.10, 9.6.10).  Their one
-evaluator, ``_regular_derivs``, broadcasts lambda against x and returns
-the rows d^0..d^n for the handles, ``eval_jtype_outer`` and the transforms:
-below z = 4, one long-double coefficient table for the distinct lambdas
-there and one Horner pass in x^2 for all orders; from 4 on, the direct
-formula.  Worst relative error of orders 0-4 against 40-digit mpmath on 9
-(lambda, M) from (0.1, 0.1) to (10, 10): the direct path errs by 5.6e-13
-at z = 1.01, 1.3e-14 at 2.01 and at most 2.9e-15 at 3.99-4.01; the 18-term
-series by at most 1.5e-14 through z = 4 (order 1 at z = 3, lambda = M =
-10, where d = 251) and 1.7e-11 at z = 6.
+All four kinds have one evaluator, ``_solution_derivs``, which broadcasts
+lambda against x for the handles, ``eval_jtype_outer`` and the transforms.
+Below the switch it sums the rows of one long-double generator,
+``_series_rows``: pole x^-2 + sum e_j x^(2j) + ln x sum l_j x^(2j), the
+Frobenius log case at the origin (DLMF 10.8, 10.31).  jtype and itype are
+the e row alone; the ytype log row is 2/pi times the jtype row and the
+ktype log row is the itype row.  ``_series_derivs`` evaluates all orders
+in one Horner pass in x^2 (the decaying candidate of ``spectral`` runs it
+too); ``solution_series`` turns the same rows into a memoized
+``LogPowerSeries`` for the exact algebra of ``forms``.
 
-ytype and ktype keep their log-power series below z = 1, built by one
-long-double generator, ``_log_series``; the boundary-form calculus reads
-their x^-2 and ln x parts exactly.  Their direct path is about as
-accurate there (within 4.7e-15 on z in [1e-3, 3]), but dearer for orders
-0-4 on 16384 points below z = 1: ytype 3.0 -> 5.2 ms, ktype 4.0 -> 5.5.
+The switch is z = 4 for jtype and itype.  Worst relative error of orders
+0-4 against 40-digit mpmath on 9 (lambda, M) from (0.1, 0.1) to (10, 10):
+the direct path errs by 5.6e-13 at z = 1.01, 1.3e-14 at 2.01 and at most
+2.9e-15 at 3.99-4.01; the 18-term series by at most 1.5e-14 through z = 4
+(order 1 at z = 3, lambda = M = 10, where d = 251) and 1.7e-11 at z = 6.
+ytype and ktype switch at z = 1: their direct path is about as accurate
+below it (within 4.7e-15 on z in [1e-3, 3]), but dearer for orders 0-4 on
+16384 points there (ytype 3.0 -> 5.2 ms, ktype 4.0 -> 5.5).
 """
 
 import math
@@ -160,79 +163,61 @@ def _structure(kind: SolutionKind, lam, params: Params):
 # small-argument series
 
 _LD_EG = np.longdouble("0.57721566490153286060651209008240243")
-_LD_2_PI = 2 / np.arccos(np.longdouble(-1))
-# (k0, k1, tau, sigma) of ``_log_series`` per kind
-_LOG_KINDS = {SolutionKind.ytype: (_LD_2_PI, _LD_2_PI, -1, -1),
-              SolutionKind.ktype: (-1, 1, 1, 1)}
+# per kind: nu, s and whether a log part and a pole come in (``_series_rows``)
+_ROWS = {SolutionKind.jtype: (0, 1, False), SolutionKind.itype: (2, -1, False),
+         SolutionKind.ytype: (0, 2 / np.arccos(np.longdouble(-1)), True),
+         SolutionKind.ktype: (2, -1, True)}
 
 
-def _log_series(kind: SolutionKind, a: float, M: float) -> LogPowerSeries:
-    """Series of A C0(z) + B C1(z)/z at z = a x, q = M a^2/4, for C = Y with
-    (A, B) = (1 + q, -2 q) or K with (q - 1, 2 q), formed in long double and
-    rounded once.  With t_k = (sigma z^2/4)^k / (k!)^2, H_k the harmonic
-    numbers and s_k = H_k + H_(k+1) - 2 gamma (A&S 9.1.11, 9.1.13, 9.6.11,
-    9.6.13), C0(z) = k0 [ln(z/2) sum t_k + sum (gamma - H_k) t_k] and
-    C1(z)/z = k1 [ln(z/2) sum t_k / (2 (k + 1)) + tau z^-2 - sum s_k t_k /
-    (4 (k + 1))]: a log part, an entire part and a pole."""
-    k0, k1, tau, sigma = _LOG_KINDS[kind]
-    a = np.longdouble(a)
-    q = M * a * a / 4
-    A, B = (1 + q, -2 * q) if kind is SolutionKind.ytype else (q - 1, 2 * q)
-    k = np.arange(_SERIES_TERMS, dtype=np.longdouble)
-    t = np.cumprod(np.r_[1, sigma * a * a / 4 / k[1:] ** 2])
-    h = np.cumsum(np.r_[0, 1 / k[1:]])
-    ell = np.log(a / 2)
-    rows = {1: t * (k0 * A + k1 * B / (2 * (k + 1))),
-            0: t * (k0 * A * (ell + _LD_EG - h) + k1 * B
-                    * (2 * ell - 2 * h - 1 / (k + 1) + 2 * _LD_EG) / (4 * (k + 1)))}
-    terms = {(2 * j, d): float(c) for d, row in rows.items()
-             for j, c in enumerate(row) if c}
-    terms[(-2, 0)] = float(k1 * B * tau / (a * a))
+def _series_rows(kind: SolutionKind, q, M: float):
+    """(pole, e, l): the series pole x^-2 + sum e_j x^(2j) + ln x sum l_j
+    x^(2j), j < 18, of the kind at q = lam^2/4, a long-double column with
+    one row per lam (q = a^2/4 - 2/M < 0 for the decaying candidate of
+    ``spectral`` at rate a), formed in long double and rounded once.
+
+    With r = -q (J, Y) or q + 2/M (I, K), t_j = r^j/(j!)^2 and nu = 0
+    (J, Y) or 2 (I, K), the row g_j = t_j ((j + 1 - nu) + j M q)/(j + 1)
+    times s = 1 (jtype) or -1 (itype) is the whole series of the regular
+    pair (A&S 9.1.10, 9.6.10); pole and l are None there.  By the log
+    terms of Y0, Y1, K0 and K1 (A&S 9.1.11, 9.1.13, 9.6.11, 9.6.13), ytype
+    and ktype are ln x times s g (s = 2/pi or -1: the jtype or itype row),
+    plus e_j = (ln|r|/2 + gamma) l_j - s t_j [(1 + M q) H_j - (M q + nu)
+    (H_j + H_(j+1))/(2 (j + 1))] with H_j the harmonic numbers, plus the
+    pole |s| M/2 (M/pi or M/2)."""
+    nu, s, log = _ROWS[kind]
+    M = np.longdouble(M)
+    k, Mq = np.arange(_SERIES_TERMS, dtype=np.longdouble), M * q
+    r = -q if nu == 0 else q + 2 / M
+    ratio = np.ones((q.shape[0], _SERIES_TERMS), dtype=np.longdouble)
+    ratio[:, 1:] = r / k[1:] ** 2
+    t = s * np.cumprod(ratio, axis=1)
+    row = t * ((k + 1 - nu) + k * Mq) / (k + 1)
+    if not log:
+        return None, row.astype(float), None
+    h = np.zeros(_SERIES_TERMS, dtype=np.longdouble)  # the harmonic numbers
+    h[1:] = np.cumsum(1 / k[1:])
+    e = (np.log(np.abs(r)) / 2 + _LD_EG) * row \
+        - t * ((1 + Mq) * h - (Mq + nu) * (2 * h + 1 / (k + 1)) / (2 * (k + 1)))
+    pole = np.full(q.shape[0], float(abs(s) * M / 2))
+    return pole, e.astype(float), row.astype(float)
+
+
+def _log_power_series(rows):
+    """The ``LogPowerSeries`` of the first lam of ``_series_rows``' rows."""
+    pole, e, l = rows
+    terms = {(2 * j, d): c for d, row in enumerate((e, l)) if row is not None
+             for j, c in enumerate(row[0].tolist()) if c}
+    if pole is not None:
+        terms[(-2, 0)] = float(pole[0])
     return LogPowerSeries(terms)
 
 
-def ktype_scale_series(a: float, M: float) -> LogPowerSeries:
-    """Series of d K0(a x) + (a M/2) x^-1 K1(a x) with d = M a^2/4 - 1.
-
-    This parametrizes the exponentially decaying solutions directly by
-    their decay rate a > 0, covering both real lambda (a = c) and the
-    negative-spectral-value branch where lambda is imaginary.  The x^-2
-    coefficient is M/2 and the ln x coefficient is 1 for every a (each
-    rounded once from long double), which is what makes differences of
-    two such solutions regular at 0.
-    """
-    return _log_series(SolutionKind.ktype, a, M)
-
-
-def _regular_coeffs(kind: SolutionKind, lams, M: float, nterms: int):
-    """Coefficients of x^0, x^2, ..., x^(2 nterms - 2) of jtype or itype,
-    one row per lam: t_k b_k with t_0 = 1, t_k / t_(k-1) = r / k^2, and for
-    q = lam^2/4 (the itype b_k is -d + (M q + 2)/(k + 1), uncancelled)
-        jtype: r = -q,             b_k = ((k + 1) + k M q) / (k + 1)
-        itype: r = q + 2/M = c^2/4, b_k = ((1 - k) - k M q) / (k + 1)
-    Formed in long double and rounded once, so within about half an ulp
-    where long double is wider than double (80-bit on x86-64)."""
-    q = np.asarray(lams, dtype=np.longdouble)[:, None] ** 2 / 4
-    M = np.longdouble(M)
-    k = np.arange(nterms, dtype=np.longdouble)
-    if kind is SolutionKind.jtype:
-        r, bracket = -q, (k + 1) + k * (M * q)
-    else:
-        r, bracket = q + 2 / M, (1 - k) - k * (M * q)
-    ratio = np.ones((q.shape[0], nterms), dtype=np.longdouble)
-    ratio[:, 1:] = r / k[1:] ** 2
-    t = np.cumprod(ratio, axis=1)
-    return (t * bracket / (k + 1)).astype(float)
-
-
-# bounded: a stream of fresh (lam, M) never hits the memo, and a larger
-# one would only hold memory
+# for the exact algebra of ``forms`` only; bounded, as a stream of fresh
+# (lam, M) never hits the memo and a larger one would only hold memory
 @lru_cache(maxsize=128)
 def _series_cached(kind: SolutionKind, lam: float, M: float):
-    if kind in _REGULAR:
-        row = _regular_coeffs(kind, [lam], M, _SERIES_TERMS)[0]
-        return LogPowerSeries({(2 * k, 0): float(c) for k, c in enumerate(row) if c})
-    return _log_series(kind, float(_structure(kind, lam, Params(M))[0]), M)
+    q = np.array([[lam]], dtype=np.longdouble) ** 2 / 4
+    return _log_power_series(_series_rows(kind, q, M))
 
 
 def solution_series(handle: SolutionHandle) -> LogPowerSeries:
@@ -313,21 +298,46 @@ def _direct_derivs_scaled(kind, a, A, B, x, max_order):
     return np.vstack(rows)
 
 
-def _derivative_table(coef, max_order):
-    """(nterms, max_order + 1, lams) table: [j, n] is the coefficient of
-    x^(2 j + n % 2) in the n-th derivative of the series with coefficients
-    coef (x^0, x^2, ... per lam), zero past its last term; each derivative
-    multiplies x^p by p, in ``LogPowerSeries.derivative``'s order."""
-    nterms = coef.shape[1]
-    power = 2.0 * np.arange(nterms)[:, None]
-    c = coef.T
-    table = np.zeros((nterms, max_order + 1, coef.shape[0]))
-    table[:, 0] = c
-    for n in range(1, max_order + 1):
-        c = (power - (n - 1)) * c
-        drop = (n + 1) // 2  # the terms the derivatives have dropped
-        table[:nterms - drop, n] = c[drop:]
-    return table
+def _series_derivs(rows, x, max_order, pick=slice(None)):
+    """Rows d^0..d^max_order at x of the series (pole, e, l) of
+    ``_series_rows``, reading lam row pick[i] at x[i] (pick broadcasts).
+
+    Each derivative runs ``LogPowerSeries.derivative`` on the coefficient
+    arrays (x^p ln x -> p x^(p-1) ln x + x^(p-1); the pole is p = -2), so
+    the pole and the Leibniz terms of ln x fold into the Laurent
+    coefficients of the power part before one Horner pass in x^2 over all
+    orders of both parts (adding them after it loses digits next to a zero
+    of a derivative).  Order n of the power part is x^(-2 - n) (with a
+    pole) or x^(n % 2) times a polynomial in x^2, and of the ln x part
+    x^(n % 2) ln x times one; without a pole, l_0 = l_1 = 0."""
+    pole, e, l = rows
+    lead, logs = int(pole is not None), int(l is not None)  # lead: the pole's slot
+    size, orders = lead + e.shape[1], max_order + 1
+    c0 = np.vstack([pole, e.T]) if lead else e.T
+    c1 = np.vstack([0 * pole, l.T]) if lead else l.T if logs else None
+    power = 2.0 * np.arange(-lead, e.shape[1])[:, None]
+    table = np.zeros((size, (1 + logs) * orders, e.shape[0]))
+    for n in range(orders):
+        if n:
+            f = power - (n - 1)
+            c0, c1 = (f * c0 + c1, f * c1) if logs else (f * c0, None)
+        # the derivatives drop x^0..x^(n-1) of both parts, but for the pole
+        # and the Leibniz terms in the power part
+        drop = (n + 1) // 2
+        d0 = 0 if lead else drop
+        table[:size - d0, n] = c0[d0:]
+        if logs:
+            table[:size - drop - lead, orders + n] = c1[drop + lead:]
+    acc = _horner(table[..., pick], x ** 2)
+    if lead:
+        for n in range(orders):
+            acc[n] *= x ** (-2 - n)
+    else:
+        acc[1:orders:2] *= x
+    if not logs:
+        return acc
+    acc[orders + 1::2] *= x
+    return acc[:orders] + acc[orders:] * np.log(x)
 
 
 def _two_paths(z, switch, series, direct, max_order):
@@ -345,15 +355,19 @@ def _two_paths(z, switch, series, direct, max_order):
     return out
 
 
-def _regular_derivs(kind, lams, xs, params: Params, max_order: int):
-    """Rows d^0..d^max_order of jtype or itype at lams broadcast against xs,
-    shape (max_order + 1,) + the broadcast shape (see the module docstring;
-    odd orders of the series are x times a polynomial in x^2)."""
+def _solution_derivs(kind, lams, xs, params: Params, max_order: int):
+    """Rows d^0..d^max_order of the kind at lams broadcast against xs,
+    shape (max_order + 1,) + the broadcast shape: ``_series_derivs`` of the
+    rows of the distinct lams below the switch in z (see the module
+    docstring), the direct formula from it on."""
     lams, xs = np.asarray(lams, dtype=float), np.asarray(xs, dtype=float)
     if (lams < 0.0).any():
         raise ValueError("lambda must be a nonnegative real here")
-    if (xs < 0.0).any():
-        raise ValueError("x must be nonnegative")
+    if kind in _REGULAR:
+        if (xs < 0.0).any():
+            raise ValueError("x must be nonnegative")
+    elif (xs <= 0.0).any():
+        raise ValueError(f"{kind.value} is defined on x > 0 only")
     shape = (max_order + 1,) + np.broadcast(lams, xs).shape
     if lams.size == 1 or xs.size == 1:  # a single lam or x broadcasts
         lams, xs = lams.ravel(), xs.ravel()
@@ -368,56 +382,34 @@ def _regular_derivs(kind, lams, xs, params: Params, max_order: int):
         need, pick = part(lams, mask), slice(0, 1)
         if need.size > 1:
             need, pick = np.unique(need, return_inverse=True)
-        coef = _regular_coeffs(kind, need, float(params.M), _SERIES_TERMS)
-        x = part(xs, mask)
-        rows = _horner(_derivative_table(coef, max_order)[..., pick], x ** 2)
-        rows[1::2] *= x
-        return rows
+        q = need.astype(np.longdouble)[:, None] ** 2 / 4
+        return _series_derivs(_series_rows(kind, q, params.M), part(xs, mask),
+                              max_order, pick)
 
     def direct(mask):
         return _direct_derivs_scaled(kind, part(a, mask), part(A, mask),
                                      part(B, mask), part(xs, mask), max_order)
 
-    out = _two_paths(a * xs, _REGULAR_SWITCH, series, direct, max_order)
+    switch = _REGULAR_SWITCH if kind in _REGULAR else _SERIES_SWITCH
+    out = _two_paths(a * xs, switch, series, direct, max_order)
     return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
 # public evaluation
 
-def _derivs(handle, x, max_order):
-    """(rows d^0..d^max_order of the solution at x, whether x is a scalar)."""
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    kind = handle.kind
-    if kind in _REGULAR:  # _regular_derivs checks x
-        return _regular_derivs(kind, handle.lam, arr, handle.params, max_order), scalar
-    if np.any(arr <= 0.0):
-        raise ValueError(f"{kind.value} is defined on x > 0 only")
-    a, A, B = _structure(kind, handle.lam, handle.params)
-
-    def series(mask):
-        stack = solution_series(handle).derivatives(max_order)
-        return [s.evaluate(arr[mask]) for s in stack]
-
-    return _two_paths(a * arr, _SERIES_SWITCH, series,
-                      lambda m: _direct_derivs_scaled(kind, a, A, B, arr[m], max_order),
-                      max_order), scalar
-
-
 def eval_solution(handle: SolutionHandle, x):
     """Value of the solution at x (vectorized; scalar in, float out)."""
-    out, scalar = _derivs(handle, x, 0)
-    return float(out[0, 0]) if scalar else out[0]
+    out = _solution_derivs(handle.kind, handle.lam, x, handle.params, 0)[0]
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def eval_jtype_outer(lams, xs, params: Params):
     """J_lam(x) with lams broadcast against xs: pass lams[:, None] and
     xs[None, :] for the outer grid, or two arrays of one shape for
-    (lam, x) pairs.  Order 0 of ``_regular_derivs``, so each entry is
+    (lam, x) pairs.  Order 0 of ``_solution_derivs``, so each entry is
     ``eval_solution`` on the handle (jtype, lam) bit for bit."""
-    return _regular_derivs(SolutionKind.jtype, lams, xs, params, 0)[0]
+    return _solution_derivs(SolutionKind.jtype, lams, xs, params, 0)[0]
 
 
 def eval_solution_derivs(handle: SolutionHandle, x, max_order: int = 4):
@@ -427,5 +419,4 @@ def eval_solution_derivs(handle: SolutionHandle, x, max_order: int = 4):
     """
     if not (0 <= max_order <= 4):
         raise ValueError("max_order must lie in 0..4")
-    out, scalar = _derivs(handle, x, max_order)
-    return out[:, 0] if scalar else out
+    return _solution_derivs(handle.kind, handle.lam, x, handle.params, max_order)

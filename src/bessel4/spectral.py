@@ -16,8 +16,10 @@ d K0(a x) + (a M/2) x^-1 K1(a x) with decay rate a = sqrt(t + 8/M).
 Both carry the identical singular parts (M/2) x^-2 + ln x + O(x^2) and
 equal x^2 ln x terms, so their plain difference has limits f(0+), f''(0+),
 decays at infinity, and is the (unique up to scale) candidate
-eigenfunction.  Outside the window the two rates coalesce or become a
-complex pair and this construction is not attempted.
+eigenfunction; below a_plus x = 1 the solutions' series evaluator sums the
+difference of their ktype rows (at q = t/4).  Outside the window the two
+rates coalesce or become a complex pair and this construction is not
+attempted.
 """
 
 import math
@@ -26,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import BoundaryData, FnBundle, boundary_data, residual_expression
-from .logseries import LogPowerSeries
-from .solutions import (_MTERM_C, _SERIES_SWITCH, Params, _two_paths,
-                        ktype_scale_derivs, ktype_scale_series)
+from .solutions import (_MTERM_C, _SERIES_SWITCH, Params, SolutionHandle,
+                        SolutionKind, _log_power_series, _series_derivs,
+                        _series_rows, _two_paths, eval_solution,
+                        ktype_scale_derivs)
 
 # c/2 with c = 8 the equation's M-term constant: the roots of
 # t^2 + (c/M) t - mu are t = -h/M +- sqrt(h^2/M^2 + mu), h = c/2
@@ -95,22 +98,24 @@ class DecayingCandidateBundle(FnBundle):
         self.params = params
         self.a_minus, self.a_plus = decay_rates(mu, params)
         self.series_valid_below = _SERIES_SWITCH / self.a_plus
-        raw = ktype_scale_series(self.a_minus, params.M) \
-            - ktype_scale_series(self.a_plus, params.M)
+        a = np.array([[self.a_minus], [self.a_plus]], dtype=np.longdouble)
+        pole, e, l = (r[:1] - r[1:] for r in _series_rows(
+            SolutionKind.ktype, a * a / 4 - 2 / np.longdouble(params.M), params.M))
         # x^-2, ln x and x^2 ln x cancel (the last as a_minus^2 + a_plus^2 = 8/M)
-        sing = abs(raw.coeff(-2, 0)) + abs(raw.coeff(0, 1)) + abs(raw.coeff(2, 1))
+        sing = abs(pole[0]) + abs(l[0, 0]) + abs(l[0, 1])
         if sing > 1e-10 * (1.0 + params.M):
             raise RegularityError(
                 f"singular parts failed to cancel (leftover {sing:.2e})")
-        self.series = LogPowerSeries(
-            {(p, d): c for (p, d), c in raw.items() if p >= 0 and (d == 0 or p > 2)})
+        l[0, :2] = 0.0
+        self.rows = (None, e, l)
+        self.series = _log_power_series(self.rows)
 
     def derivs(self, x, order=4):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         M = self.params.M
         return _two_paths(
             arr, self.series_valid_below,
-            lambda m: [s.evaluate(arr[m]) for s in self.series.derivatives(order)],
+            lambda m: _series_derivs(self.rows, arr[m], order),
             lambda m: ktype_scale_derivs(self.a_minus, M, arr[m], order)
             - ktype_scale_derivs(self.a_plus, M, arr[m], order), order)
 
@@ -205,7 +210,6 @@ def oscillation_floor(Lambda: float, params: Params, xs=None) -> float:
     solutions never become square-integrable), which is the computable
     shadow of the continuous spectrum filling [0, inf).
     """
-    from .solutions import SolutionHandle, SolutionKind, eval_solution
     if Lambda <= 0.0:
         raise ValueError("the oscillation check applies to Lambda > 0")
     m = params.M

@@ -85,7 +85,7 @@ from .quadrature import (_MAX_PANELS, ConvergenceError, _adaptive_steps,
                          _gauss, _lockstep, _oscillatory_steps, _single,
                          adaptive_quad, oscillatory_semi_infinite)
 from .solutions import (_REGULAR_SWITCH, Params, SolutionHandle, SolutionKind,
-                        _direct_derivs_scaled, _regular_derivs,
+                        _direct_derivs_scaled, _solution_derivs,
                         _spectral_slope, _structure, eval_jtype_outer,
                         eval_solution, spectral_value)
 
@@ -583,7 +583,8 @@ _LAM_TAIL_START = 8.0
 
 
 def _inverse(pair: _Pair, g, x_grid, tol, ring=0.0) -> TransformResult:
-    """The inverse transform of g on x_grid (see ``generalized_inverse``).
+    """The inverse transform of g on the 1-d array x_grid (see
+    ``generalized_inverse``).
 
     Each x > 0 takes two lam integrals, an adaptive head on
     [0, _LAM_TAIL_START], from its graded edges, and a bracket train
@@ -602,7 +603,6 @@ def _inverse(pair: _Pair, g, x_grid, tol, ring=0.0) -> TransformResult:
     resolve the fastest beat x + ring, and x = 0 runs on brackets too,
     since the measure integral's tail closure fails on an oscillating g.
     """
-    x_grid = np.atleast_1d(np.asarray(x_grid, dtype=float))
     density, cap = pair.lam_measure.density, pair.lam_cap
     origin = (x_grid == 0.0) & (ring == 0.0)
     # per integral: its x, the shift of its nodes, and whether its nodes u
@@ -654,6 +654,14 @@ def _inverse(pair: _Pair, g, x_grid, tol, ring=0.0) -> TransformResult:
     return TransformResult(grid=x_grid, values=vals, diagnostics={"points": diag})
 
 
+def _x_points(x, name):
+    """x as a 1-d array, or ValueError naming it if an x < 0 or is not finite."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x) & (x >= 0.0)):
+        raise ValueError(f"{name} must be finite and nonnegative")
+    return x
+
+
 def _roundtrip(pair: _Pair, f, x_points, f0, tol, x_cut) -> TransformResult:
     """The inverse of the forward of f (truncated at x_cut) on x_points.
     The inverse's brackets follow the oscillation of g itself (see
@@ -675,12 +683,8 @@ def _parseval(pair: _Pair, f, f0, tol, lam_max, x_cut):
         gv = gev(lam)
         return gv * gv * density(lam)
 
-    lam_side = _single(gsq_density,
-                       _adaptive_steps(_graded_edges(lam_max), tol, 400))
-    if not lam_side.converged:
-        raise ConvergenceError(
-            f"Parseval's lam side did not reach tol={tol}",
-            best=lam_side.value, error=lam_side.error)
+    lam_side = _single(gsq_density, _adaptive_steps(
+        _graded_edges(lam_max), tol, 400)).checked("Parseval's lam side", tol)
     x_side = adaptive_quad(lambda x: np.asarray(x) * np.asarray(f(x)) ** 2,
                            0.0, 60.0, tol=tol * 1e-2)
     value = x_side.value
@@ -690,7 +694,7 @@ def _parseval(pair: _Pair, f, f0, tol, lam_max, x_cut):
         raise ConvergenceError(
             f"Parseval's x side did not reach tol={tol * 1e-2}",
             best=value, error=x_side.error)
-    return lam_side.value, value
+    return lam_side, value
 
 
 # ---------------------------------------------------------------------------
@@ -716,13 +720,14 @@ def hankel_parseval(f, s_max=60.0, tol=1e-7):
 
 
 def hankel_roundtrip(f, x_point, *, tol=1e-6, x_cut=36.0) -> float:
-    """The iterated transform evaluated at x_point (0 allowed).
+    """The iterated transform evaluated at x_point (0 allowed; ValueError
+    on a negative or non-finite x).
 
     Equals the mean of the one-sided limits of f at points of bounded
     variation.  The inner transform is truncated at x_cut; the outer
     integral is the shared inverse (see ``_roundtrip``).
     """
-    r = _roundtrip(_CLASSICAL, f, x_point, None, tol, x_cut)
+    r = _roundtrip(_CLASSICAL, f, _x_points(x_point, "x_point"), None, tol, x_cut)
     return float(r.values[0])
 
 
@@ -745,7 +750,8 @@ def generalized_forward(f, params: Params, lambda_grid, f0=None,
 
 
 def generalized_inverse(g, params: Params, x_grid, tol=1e-6) -> TransformResult:
-    """The inverse transform on an x grid (0 allowed).
+    """The inverse transform on an x grid (0 allowed; ValueError on a
+    negative or non-finite x).
 
     f(0) is the plain spectral-measure integral of g; for x > 0 the
     lambda integrand oscillates with spacing ~pi/x under an O(lam^-3/2)
@@ -755,7 +761,8 @@ def generalized_inverse(g, params: Params, x_grid, tol=1e-6) -> TransformResult:
     a grid costs as many calls of g as its slowest x alone, and each value
     equals that of a one-x call bit for bit.
     """
-    return _inverse(_generalized_pair(params), g, x_grid, tol)
+    return _inverse(_generalized_pair(params), g, _x_points(x_grid, "x_grid"),
+                    tol)
 
 
 def generalized_parseval(f, params: Params, f0=None, tol=1e-6,
@@ -795,10 +802,11 @@ def moment_identity_defect(f, params: Params, f0=None, tol=1e-6,
 
 def generalized_roundtrip(f, params: Params, x_points, f0=None,
                           tol=1e-6, x_cut=40.0) -> TransformResult:
-    """inverse(forward(f)) evaluated at x_points (0 allowed), with the
-    inverse's brackets following the oscillation of g itself (see
-    ``_roundtrip``)."""
-    return _roundtrip(_generalized_pair(params), f, x_points, f0, tol, x_cut)
+    """inverse(forward(f)) evaluated at x_points (0 allowed; ValueError on
+    a negative or non-finite x), with the inverse's brackets following the
+    oscillation of g itself (see ``_roundtrip``)."""
+    return _roundtrip(_generalized_pair(params), f,
+                      _x_points(x_points, "x_points"), f0, tol, x_cut)
 
 
 # ---------------------------------------------------------------------------
@@ -865,12 +873,13 @@ def _classical_kernel(lam, side, mu, X):
 
 
 def ortho_kernel_classical(lmb, mu, X, method="closed"):
-    """lam * integral_0^X x J0(lam x) J0(mu x) dx (truncated delta kernel)."""
+    """lam * integral_0^X x J0(lam x) J0(mu x) dx (truncated delta kernel).
+    The quad route raises ConvergenceError when it misses 1e-10."""
     if method == "quad":
         val = adaptive_quad(
             lambda x: np.asarray(x) * classical.j0(lmb * np.asarray(x))
-            * classical.j0(mu * np.asarray(x)), 0.0, X, tol=1e-10).value
-        return lmb * val
+            * classical.j0(mu * np.asarray(x)), 0.0, X, tol=1e-10)
+        return lmb * val.checked("the classical kernel's quad route", 1e-10)
     lmb_arr = np.atleast_1d(np.asarray(lmb, dtype=float))
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     # the lam side once, broadcast against every mu
@@ -883,7 +892,7 @@ def _generalized_side(lam, params: Params, X, order=3):
     """What the generalized delta kernel reads at one of its two spectral
     points: J_lam and its x-derivatives 1-order at X, and L(lam).  The
     kernel's lam side needs order 4 for the diagonal."""
-    return _regular_derivs(SolutionKind.jtype, lam, X, params, order), \
+    return _solution_derivs(SolutionKind.jtype, lam, X, params, order), \
         spectral_value(lam, params)
 
 
@@ -927,7 +936,8 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
     [J_lam, J_mu](X)/(L(lam)-L(mu)) minus the boundary term at 0, and the
     0-term is exactly -(M/2)(L(lam)-L(mu)), cancelling the atom.  On and
     near the diagonal mu == lam, where that quotient reads 0/0, it takes
-    its limit (see ``_generalized_diagonal``).
+    its limit (see ``_generalized_diagonal``).  The quad route raises
+    ConvergenceError when it misses 1e-10.
     """
     M = params.M
     weight = spectral_measure(M).density(lmb)
@@ -937,7 +947,7 @@ def ortho_kernel_generalized(lmb, mu, params: Params, X, method="closed"):
         val = adaptive_quad(
             lambda x: np.asarray(x) * eval_solution(hl, np.asarray(x))
             * eval_solution(hm, np.asarray(x)), 0.0, X, tol=1e-10,
-            max_panels=20000).value
+            max_panels=20000).checked("the generalized kernel's quad route", 1e-10)
         return weight * (val + M / 2.0)
     mu_arr = np.atleast_1d(np.asarray(mu, dtype=float))
     # the lam side once, broadcast against every mu
@@ -981,7 +991,4 @@ def weak_delta_probe(kind, lam0, X, params: Params = None, half_width=0.5,
         raise ValueError("kind must be 'classical' or 'generalized'")
     r = adaptive_quad(fn, lam0 - half_width, lam0 + half_width, tol=tol,
                       max_panels=20000)
-    if not r.converged:
-        raise ConvergenceError(f"the {kind} delta probe did not reach tol={tol}",
-                               best=r.value, error=r.error)
-    return r.value
+    return r.checked(f"the {kind} delta probe", tol)

@@ -378,7 +378,7 @@ def _positivity_suite():
 def _energy_body(f):
     return adaptive_quad(
         lambda x: F.apply_expression(f, x, _P1) * f.derivs(x, 0)[0],
-        0.0, 30.0, tol=1e-9).value
+        0.0, 30.0, tol=1e-9).checked("the energy body on [0, 30]", 1e-9)
 
 
 @check("FO-POS-T0", "energy form nonnegative on the zero-boundary suite",

@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
@@ -127,3 +128,27 @@ def test_csv_quotes_fields_with_commas(tmp_path):
         parsed = [r for r in csv.reader(fh) if not r[0].startswith("#")]
     assert parsed[1] == ["FR-ROOTS", "orders 4, 6, 8", "0", "<=", "0", "pass",
                          "0.0070000000000000001"]
+
+
+def test_verify_exits_3_when_an_energy_body_misses_tol(monkeypatch, capsys):
+    # FO-POS-T0 and FO-POS-SK raise instead of reading a non-converged
+    # energy body into their minimum; the CLI maps that to exit code 3
+    import dataclasses
+
+    from bessel4 import cli, quadrature, verify
+
+    def unconverged(*args, **kwargs):
+        r = quadrature.adaptive_quad(*args, **kwargs)
+        return dataclasses.replace(r, converged=False)
+
+    monkeypatch.setattr(verify, "adaptive_quad", unconverged)
+    f = verify._positivity_suite()[0]
+    with pytest.raises(quadrature.ConvergenceError) as err:
+        verify._energy_body(f)
+    assert np.isfinite(err.value.best)
+    checks = verify.CHECKS
+    for check_id in ("FO-POS-T0", "FO-POS-SK"):
+        monkeypatch.setattr(verify, "CHECKS", [c for c in checks
+                                               if c.check_id == check_id])
+        assert cli.main(["verify"]) == cli.NONCONVERGENCE == 3
+        assert "nonconvergence" in capsys.readouterr().err

@@ -165,10 +165,13 @@ def test_second_derivative_at_zero_closed_form():
 
 
 def test_ktype_scale_series_matches_handle_series():
+    # the decaying candidate reads the ktype rows at its rates a = c, that
+    # is at q = a^2/4 - 2/M
     lam, M = 1.0, 1.0
-    c = cd_params(lam, Params(M)).c
+    c = np.longdouble(cd_params(lam, Params(M)).c)
     s1 = S.solution_series(SolutionHandle(SolutionKind.ktype, lam, Params(M)))
-    s2 = S.ktype_scale_series(c, M)
+    s2 = S._log_power_series(S._series_rows(
+        SolutionKind.ktype, np.array([[c * c / 4 - 2 / np.longdouble(M)]]), M))
     for key, v in s1.items():
         assert s2.coeff(*key) == pytest.approx(v, rel=1e-12, abs=1e-15)
 
@@ -272,22 +275,31 @@ def test_series_cost_tool_runs_at_small_size(capsys):
         assert all(float(c) > 0.0 for c in cells[1:])
 
 
-@pytest.mark.parametrize("kind", ["jtype", "itype"])
+# z = a x crosses the switch (4 for jtype and itype, 1 for ytype and ktype)
+# for every lam but 0; ytype and ktype take lam > 0 and x > 0 only
+_EVAL_GRIDS = {
+    "jtype": ([0.0, 0.05, 0.9, 3.0, 40.0],
+              [0.0, 0.3, 1.0, 3.99, 3.9999999, 4.0, 4.0000001, 4.01, 9.0, 60.0]),
+    "ytype": ([0.05, 0.9, 3.0, 40.0],
+              [1e-3, 0.3, 0.99, 0.9999999, 1.0, 1.0000001, 1.01, 4.0, 9.0, 60.0])}
+_EVAL_GRIDS["itype"], _EVAL_GRIDS["ktype"] = _EVAL_GRIDS["jtype"], _EVAL_GRIDS["ytype"]
+
+
+@pytest.mark.parametrize("kind", ["jtype", "ytype", "itype", "ktype"])
 def test_regular_evaluator_pairs_outer_grid_and_handles(kind):
     P = Params(0.7)
-    lams = np.array([0.0, 0.05, 0.9, 3.0, 40.0])
-    # z = a x crosses the switch at 4 for every lam but 0
-    zs = np.array([0.0, 0.3, 1.0, 3.99, 3.9999999, 4.0, 4.0000001, 4.01, 9.0, 60.0])
+    lams, zs = (np.array(v) for v in _EVAL_GRIDS[kind])
     for order in range(5):
         a, _, _ = S._structure(SolutionKind(kind), lams, P)
         xs = np.outer(1.0 / np.where(a > 0.0, a, 1.0), zs)
-        outer = S._regular_derivs(SolutionKind(kind), lams[:, None], xs, P, order)
+        outer = S._solution_derivs(SolutionKind(kind), lams[:, None], xs, P, order)
         assert outer.shape == (order + 1,) + xs.shape
+        assert np.all(np.isfinite(outer))
         # (lam, x) pairs in any order read the entries of the outer grid
         pair_lams = np.broadcast_to(lams[:, None], xs.shape).ravel()
         perm = np.random.default_rng(order).permutation(pair_lams.size)
-        pairs = S._regular_derivs(SolutionKind(kind), pair_lams[perm],
-                                  xs.ravel()[perm], P, order)
+        pairs = S._solution_derivs(SolutionKind(kind), pair_lams[perm],
+                                   xs.ravel()[perm], P, order)
         assert np.array_equal(pairs, outer.reshape(order + 1, -1)[:, perm])
         # and each row of lam is the handle path
         for i, lam in enumerate(lams):
@@ -295,3 +307,37 @@ def test_regular_evaluator_pairs_outer_grid_and_handles(kind):
             assert np.array_equal(eval_solution_derivs(h, xs[i], order), outer[:, i])
     if kind == "jtype":
         assert np.array_equal(S.eval_jtype_outer(lams[:, None], xs, P), outer[0])
+
+
+@pytest.mark.parametrize("kind", ["ytype", "ktype"])
+def test_log_kinds_evaluate_without_the_series_memo(kind):
+    # evaluation runs on the coefficient rows; the memo serves the exact
+    # algebra of forms only
+    h = SolutionHandle(SolutionKind(kind), 0.8137, Params(1.91))
+    before = S._series_cached.cache_info()
+    eval_solution_derivs(h, np.geomspace(1e-3, 5.0, 40) * S.series_radius(h), 4)
+    eval_solution(h, 0.5 * S.series_radius(h))
+    assert S._series_cached.cache_info() == before
+
+
+@pytest.mark.parametrize("kind", ["ytype", "ktype"])
+def test_series_evaluator_no_worse_than_log_power_series(kind):
+    # below the switch the evaluator folds the pole and the Leibniz terms
+    # of ln x into one Horner pass; against 40-digit mpmath it errs at most
+    # twice as much as LogPowerSeries.evaluate on the same coefficients
+    rng = np.random.default_rng(4242)
+    for _ in range(12):
+        lam, M = np.exp(rng.uniform(np.log(0.05), np.log(10.0), 2))
+        h = SolutionHandle(SolutionKind(kind), lam, Params(M))
+        xs = np.exp(rng.uniform(np.log(1e-3), 0.0, 8)) * S.series_radius(h)
+        got = eval_solution_derivs(h, xs, 4)
+        ref_series = np.vstack([s.evaluate(xs)
+                                for s in S.solution_series(h).derivatives(4)])
+        with mp.workdps(40):
+            for j, x in enumerate(xs):
+                exact = _mp_solution_derivs(kind, lam, M, x)
+                for n in range(5):
+                    err = abs(mp.mpf(float(got[n, j])) - exact[n])
+                    ref_err = abs(mp.mpf(float(ref_series[n, j])) - exact[n])
+                    assert err <= 2 * ref_err + 1e-16 * abs(exact[n]), \
+                        (lam, M, x, n, float(err), float(ref_err))

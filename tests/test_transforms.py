@@ -236,7 +236,7 @@ def test_delta_probes_evaluate_the_lam0_side_once(monkeypatch):
     # it once, not in each of its integrand calls
     lam0, X = 1.0, 200.0
     seen = {"j0": 0, "derivs": 0, "calls": 0}
-    j0, derivs, quad = classical.j0, tr._regular_derivs, tr.adaptive_quad
+    j0, derivs, quad = classical.j0, tr._solution_derivs, tr.adaptive_quad
 
     def counted_j0(x):
         seen["j0"] += bool(np.all(np.asarray(x) == lam0 * X))
@@ -253,7 +253,7 @@ def test_delta_probes_evaluate_the_lam0_side_once(monkeypatch):
         return quad(g, *args, **kwargs)
 
     monkeypatch.setattr(classical, "j0", counted_j0)
-    monkeypatch.setattr(tr, "_regular_derivs", counted_derivs)
+    monkeypatch.setattr(tr, "_solution_derivs", counted_derivs)
     monkeypatch.setattr(tr, "adaptive_quad", counted_quad)
     tr.weak_delta_probe("classical", lam0, X)
     assert seen["j0"] == 1 and seen["calls"] > 1
@@ -311,7 +311,7 @@ def test_fixture_suite_contents():
 
 def test_jtype_multi_evaluators_match_handles():
     from bessel4.solutions import SolutionHandle, SolutionKind, \
-        _regular_derivs, eval_jtype_outer, eval_solution, eval_solution_derivs
+        _solution_derivs, eval_jtype_outer, eval_solution, eval_solution_derivs
     lams = np.array([0.3, 1.0, 2.5])
     x = 7.0
     multi = eval_jtype_outer(lams[:, None], x, P1)[:, 0]
@@ -338,7 +338,7 @@ def test_jtype_multi_evaluators_match_handles():
     # x, lam x from 0.01 (below the old direct-only guard at 0.5) to 17.5
     for x in (7.0, 0.05):
         multi_lams = np.concatenate([lams, [0.2, 0.05]])
-        dm = _regular_derivs(SolutionKind.jtype, multi_lams, x, P1, 3)
+        dm = _solution_derivs(SolutionKind.jtype, multi_lams, x, P1, 3)
         for i, l in enumerate(multi_lams):
             ds = eval_solution_derivs(SolutionHandle(SolutionKind.jtype, l, P1),
                                       x, 3)
@@ -845,3 +845,29 @@ def test_generalized_roundtrip_indicator_near_origin():
     r = tr.generalized_roundtrip(ind, P1, [0.05, 0.5], x_cut=1.0)
     assert all(p["converged"] for p in r.diagnostics["points"])
     assert np.max(np.abs(r.values - 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("route", ["classical", "generalized"])
+def test_ortho_kernel_quad_routes_raise_when_they_miss_tol(route, monkeypatch):
+    def unconverged(*args, **kwargs):
+        r = quadrature.adaptive_quad(*args, **kwargs)
+        return quadrature.QuadResult(r.value, 1.0, False, r.neval)
+
+    monkeypatch.setattr(tr, "adaptive_quad", unconverged)
+    with pytest.raises(quadrature.ConvergenceError, match=route) as err:
+        if route == "classical":
+            tr.ortho_kernel_classical(1.0, 1.2, 5.0, method="quad")
+        else:
+            tr.ortho_kernel_generalized(1.0, 1.2, P1, 5.0, method="quad")
+    assert np.isfinite(err.value.best) and err.value.error == 1.0
+
+
+@pytest.mark.parametrize("x", [-1.0, np.nan, np.inf])
+def test_inverse_and_roundtrips_reject_bad_x(x):
+    gauss = lambda t: np.exp(-np.asarray(t, dtype=float) ** 2)
+    with pytest.raises(ValueError, match="x_grid"):
+        tr.generalized_inverse(gauss, P1, [0.5, x])
+    with pytest.raises(ValueError, match="x_points"):
+        tr.generalized_roundtrip(gauss, P1, [x])
+    with pytest.raises(ValueError, match="x_point "):
+        tr.hankel_roundtrip(gauss, x)

@@ -9,10 +9,9 @@ prints the median over REPEATS calls in ns per point.  The last column is the me
 CALL_POINTS-point call at max_order 4, x log-spaced on [1e-3, 150] times
 the radius across both paths, in us per call: the call size of the
 operator-calculus benchmark workload, where the per-call overhead counts.
-A warm-up call comes first, so the ytype and ktype series columns are the
-cost of evaluating their memoized series, not of building it; jtype and
-itype build their coefficient table in every call.  Run from the root of
-a checkout (numpy only):
+A warm-up call comes first.  It fills no memo: every kind builds its
+series rows and derivative table in each call, and the series columns
+include that cost.  Run from the root of a checkout (numpy only):
 
     python tools/series_cost.py [points]
 """
