@@ -167,6 +167,11 @@ _LD_EG = np.longdouble("0.57721566490153286060651209008240243")
 _ROWS = {SolutionKind.jtype: (0, 1, False), SolutionKind.itype: (2, -1, False),
          SolutionKind.ytype: (0, 2 / np.arccos(np.longdouble(-1)), True),
          SolutionKind.ktype: (2, -1, True)}
+# q-free row factors: j, j^2, j + 1, H_j, (H_j + H_(j+1))/(2 (j + 1))
+_LD_K = np.arange(_SERIES_TERMS, dtype=np.longdouble)
+_LD_K2, _LD_K1 = _LD_K[1:] ** 2, _LD_K + 1
+_LD_H = np.concatenate([[0], np.cumsum(1 / _LD_K[1:])])
+_LD_HH = (2 * _LD_H + 1 / _LD_K1) / (2 * _LD_K1)
 
 
 def _series_rows(kind: SolutionKind, q, M: float):
@@ -186,18 +191,16 @@ def _series_rows(kind: SolutionKind, q, M: float):
     pole |s| M/2 (M/pi or M/2)."""
     nu, s, log = _ROWS[kind]
     M = np.longdouble(M)
-    k, Mq = np.arange(_SERIES_TERMS, dtype=np.longdouble), M * q
+    Mq = M * q
     r = -q if nu == 0 else q + 2 / M
     ratio = np.ones((q.shape[0], _SERIES_TERMS), dtype=np.longdouble)
-    ratio[:, 1:] = r / k[1:] ** 2
+    ratio[:, 1:] = r / _LD_K2
     t = s * np.cumprod(ratio, axis=1)
-    row = t * ((k + 1 - nu) + k * Mq) / (k + 1)
+    row = t * ((_LD_K1 - nu) + _LD_K * Mq) / _LD_K1
     if not log:
         return None, row.astype(float), None
-    h = np.zeros(_SERIES_TERMS, dtype=np.longdouble)  # the harmonic numbers
-    h[1:] = np.cumsum(1 / k[1:])
     e = (np.log(np.abs(r)) / 2 + _LD_EG) * row \
-        - t * ((1 + Mq) * h - (Mq + nu) * (2 * h + 1 / (k + 1)) / (2 * (k + 1)))
+        - t * ((1 + Mq) * _LD_H - (Mq + nu) * _LD_HH)
     pole = np.full(q.shape[0], float(abs(s) * M / 2))
     return pole, e.astype(float), row.astype(float)
 
@@ -207,7 +210,7 @@ def _log_power_series(rows):
     pole, e, l = rows
     terms = {(2 * j, d): c for d, row in enumerate((e, l)) if row is not None
              for j, c in enumerate(row[0].tolist()) if c}
-    if pole is not None:
+    if pole is not None and pole[0]:
         terms[(-2, 0)] = float(pole[0])
     return LogPowerSeries(terms)
 
@@ -307,15 +310,15 @@ def _series_derivs(rows, x, max_order, pick=slice(None)):
     the pole and the Leibniz terms of ln x fold into the Laurent
     coefficients of the power part before one Horner pass in x^2 over all
     orders of both parts (adding them after it loses digits next to a zero
-    of a derivative).  Order n of the power part is x^(-2 - n) (with a
-    pole) or x^(n % 2) times a polynomial in x^2, and of the ln x part
-    x^(n % 2) ln x times one; without a pole, l_0 = l_1 = 0."""
+    of a derivative).  A log part comes with the pole's slot (0 for the
+    candidate), so order n is x^(-2 - n) times a polynomial in x^2, plus
+    x^(n % 2) ln x times one; without either, x^(n % 2) times one."""
     pole, e, l = rows
-    lead, logs = int(pole is not None), int(l is not None)  # lead: the pole's slot
-    size, orders = lead + e.shape[1], max_order + 1
-    c0 = np.vstack([pole, e.T]) if lead else e.T
-    c1 = np.vstack([0 * pole, l.T]) if lead else l.T if logs else None
-    power = 2.0 * np.arange(-lead, e.shape[1])[:, None]
+    logs = int(pole is not None)  # the pole's slot, and the ln x part
+    size, orders = logs + e.shape[1], max_order + 1
+    c0 = np.vstack([pole, e.T]) if logs else e.T
+    c1 = np.vstack([0 * pole, l.T]) if logs else None
+    power = 2.0 * np.arange(-logs, e.shape[1])[:, None]
     table = np.zeros((size, (1 + logs) * orders, e.shape[0]))
     for n in range(orders):
         if n:
@@ -324,18 +327,16 @@ def _series_derivs(rows, x, max_order, pick=slice(None)):
         # the derivatives drop x^0..x^(n-1) of both parts, but for the pole
         # and the Leibniz terms in the power part
         drop = (n + 1) // 2
-        d0 = 0 if lead else drop
+        d0 = 0 if logs else drop
         table[:size - d0, n] = c0[d0:]
         if logs:
-            table[:size - drop - lead, orders + n] = c1[drop + lead:]
+            table[:size - drop - 1, orders + n] = c1[drop + 1:]
     acc = _horner(table[..., pick], x ** 2)
-    if lead:
-        for n in range(orders):
-            acc[n] *= x ** (-2 - n)
-    else:
-        acc[1:orders:2] *= x
     if not logs:
+        acc[1::2] *= x
         return acc
+    for n in range(orders):
+        acc[n] *= x ** (-2 - n)
     acc[orders + 1::2] *= x
     return acc[:orders] + acc[orders:] * np.log(x)
 

@@ -101,13 +101,14 @@ class DecayingCandidateBundle(FnBundle):
         a = np.array([[self.a_minus], [self.a_plus]], dtype=np.longdouble)
         pole, e, l = (r[:1] - r[1:] for r in _series_rows(
             SolutionKind.ktype, a * a / 4 - 2 / np.longdouble(params.M), params.M))
-        # x^-2, ln x and x^2 ln x cancel (the last as a_minus^2 + a_plus^2 = 8/M)
-        sing = abs(pole[0]) + abs(l[0, 0]) + abs(l[0, 1])
+        # the pole and ln x are rate-free, so they cancel exactly; x^2 ln x
+        # cancels as a_minus^2 + a_plus^2 = 8/M, up to rounding
+        sing = abs(l[0, 1])
         if sing > 1e-10 * (1.0 + params.M):
             raise RegularityError(
                 f"singular parts failed to cancel (leftover {sing:.2e})")
-        l[0, :2] = 0.0
-        self.rows = (None, e, l)
+        l[0, 1] = 0.0
+        self.rows = (pole, e, l)
         self.series = _log_power_series(self.rows)
 
     def derivs(self, x, order=4):

@@ -64,6 +64,15 @@ def test_candidate_series_vs_direct_seam():
         - ktype_scale_derivs(fn.a_plus, 1.0, x, 3)
     assert np.max(np.abs(series_side - direct_side)
                   / (np.abs(direct_side) + 1e-12)) < 1e-10
+    # from order 5 on, x^4 ln x and x^6 ln x leave Laurent terms (24 l/x,
+    # ...) that the series must keep; the direct difference cancels
+    # digits further in, hence 1e-6
+    x = fn.series_valid_below * np.array([0.3, 0.6, 0.98])
+    series_side = fn.derivs(x, 6)
+    direct_side = ktype_scale_derivs(fn.a_minus, 1.0, x, 6) \
+        - ktype_scale_derivs(fn.a_plus, 1.0, x, 6)
+    assert np.max(np.abs(series_side - direct_side)
+                  / (np.abs(direct_side) + 1e-12)) < 1e-6
 
 
 def test_extension_map_twenty_points():
